@@ -3,6 +3,8 @@
 // transactions, network sends and the coroutine scheduler.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "lssim.hpp"
 
 namespace {
@@ -107,6 +109,52 @@ void BM_SchedulerPingPong(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 500 * 2 * 4 * 2);
 }
 BENCHMARK(BM_SchedulerPingPong)->Unit(benchmark::kMillisecond);
+
+SimTask<void> spin_private(System& sys, NodeId id, Addr addr, int reads) {
+  Processor& proc = sys.proc(id);
+  for (int i = 0; i < reads; ++i) {
+    (void)co_await proc.read(addr);
+  }
+}
+
+void BM_SchedulerStep(benchmark::State& state) {
+  // One issue step at N nodes: every node spins on its own L1-resident
+  // word, so the time per access is issue selection, coroutine resume and
+  // an L1 hit. Machine construction is untimed.
+  const int nodes = static_cast<int>(state.range(0));
+  constexpr int kReads = 2000;
+  MachineConfig cfg =
+      MachineConfig::scientific_default(ProtocolKind::kLs, nodes);
+  if (nodes > kFullMapNodes) {
+    cfg.directory_scheme = DirectoryKind::kLimitedPtr;
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto sys = std::make_unique<System>(cfg);
+    for (int n = 0; n < nodes; ++n) {
+      const auto id = static_cast<NodeId>(n);
+      const Addr word = sys->heap().alloc(64, 64);
+      sys->spawn(id, spin_private(*sys, id, word, kReads));
+    }
+    state.ResumeTiming();
+    sys->run();
+    benchmark::DoNotOptimize(sys->exec_time());
+    state.PauseTiming();
+    sys.reset();
+    state.ResumeTiming();
+  }
+  const double accesses =
+      static_cast<double>(state.iterations()) * nodes * kReads;
+  // Seconds per issued access, printed with an SI prefix (e.g. 45n).
+  state.counters["per_access"] = benchmark::Counter(
+      accesses, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SchedulerStep)
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_WordMask(benchmark::State& state) {
   Addr addr = 0;

@@ -96,7 +96,8 @@ std::string driver_usage() {
   --false-sharing    enable the Dubois classifier
   --seed N           deterministic seed               (default 1)
   --set KEY=VALUE    workload parameter (repeatable), e.g.
-                     --set particles=4000 --set txns_per_proc=500
+                     --set particles=4000 --set txns_per_proc=500;
+                     a malformed or out-of-range VALUE exits 2
   --format F         text | csv | json                (default text)
 
   --protocols A,B    run several protocols (e.g. baseline,ls)

@@ -1,7 +1,7 @@
 #include "driver/runner.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <ostream>
@@ -30,29 +30,48 @@
 namespace lssim {
 namespace {
 
+/// Whole-string parse of `text` into `out` (no leading blanks, sign
+/// only where the type allows one, nothing trailing).
+template <typename T>
+bool parse_whole(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
 class ParamReader {
  public:
   explicit ParamReader(const std::map<std::string, std::string>& params)
       : params_(params) {}
 
+  // Counts and sizes: a whole number in [0, INT_MAX].
   void get(const char* key, int* out) {
-    const auto it = params_.find(key);
-    if (it == params_.end()) return;
-    consumed_.insert(key);
-    *out = std::atoi(it->second.c_str());
+    const std::string* text = consume(key);
+    if (text == nullptr) return;
+    int value = 0;
+    if (!parse_whole(*text, &value) || value < 0) {
+      reject(key, *text, "a whole number from 0 to 2147483647");
+    }
+    *out = value;
   }
+  // Fractions: a finite number in [0, 1].
   void get(const char* key, double* out) {
-    const auto it = params_.find(key);
-    if (it == params_.end()) return;
-    consumed_.insert(key);
-    *out = std::atof(it->second.c_str());
+    const std::string* text = consume(key);
+    if (text == nullptr) return;
+    double value = 0;
+    if (!parse_whole(*text, &value) || !(value >= 0.0 && value <= 1.0)) {
+      reject(key, *text, "a number from 0 to 1");
+    }
+    *out = value;
   }
-  // Cycles is an alias of std::uint64_t: one overload serves both.
+  // Seeds and word counts; Cycles is an alias of std::uint64_t, so one
+  // overload serves both.
   void get(const char* key, std::uint64_t* out) {
-    const auto it = params_.find(key);
-    if (it == params_.end()) return;
-    consumed_.insert(key);
-    *out = std::strtoull(it->second.c_str(), nullptr, 10);
+    const std::string* text = consume(key);
+    if (text == nullptr) return;
+    if (!parse_whole(*text, out)) {
+      reject(key, *text, "a whole number from 0 to 18446744073709551615");
+    }
   }
 
   /// Throws if any --set key was not consumed by the chosen workload.
@@ -65,6 +84,19 @@ class ParamReader {
   }
 
  private:
+  const std::string* consume(const char* key) {
+    const auto it = params_.find(key);
+    if (it == params_.end()) return nullptr;
+    consumed_.insert(key);
+    return &it->second;
+  }
+  [[noreturn]] static void reject(const char* key, const std::string& text,
+                                  const char* expected) {
+    throw WorkloadParamError("bad value for workload parameter " +
+                             std::string(key) + ": '" + text +
+                             "' (expected " + expected + ")");
+  }
+
   const std::map<std::string, std::string>& params_;
   std::set<std::string> consumed_;
 };

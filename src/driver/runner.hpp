@@ -2,6 +2,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -49,9 +50,18 @@ bool resolve_interconnect_list(const std::string& csv,
 [[nodiscard]] std::string registered_interconnect_names(
     const char* sep = ", ");
 
+/// A --set value that does not parse as its parameter's type, or lies
+/// outside its range: a usage error (lssim_run exits 2), unlike an
+/// unknown workload or parameter name.
+class WorkloadParamError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
 /// Builds the WorkloadBuilder for `options.workload` with its --set
-/// parameters applied; throws std::invalid_argument on unknown workloads
-/// or parameters. Useful for callers that own their System (tracing).
+/// parameters applied; throws WorkloadParamError on a malformed or
+/// out-of-range value and std::invalid_argument on unknown workloads or
+/// parameters. Useful for callers that own their System (tracing).
 WorkloadBuilder make_driver_builder(const DriverOptions& options);
 
 /// Runs `options.workload` under `kind`; throws std::invalid_argument on

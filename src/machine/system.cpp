@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "check/invariants.hpp"
+#include "machine/issue_scheduler.hpp"
 
 namespace lssim {
 
@@ -56,25 +57,19 @@ void System::run() {
 
   // Start every program; each runs until its first memory access (or to
   // completion, for programs that never touch simulated memory).
-  for (auto& program : programs_) {
-    if (program.valid()) {
-      program.resume();
+  IssueScheduler sched(procs_.size());
+  for (std::size_t n = 0; n < programs_.size(); ++n) {
+    if (programs_[n].valid()) {
+      programs_[n].resume();
     }
+    const Processor& proc = *procs_[n];
+    sched.update(n, proc.has_pending_ ? proc.time_ : IssueScheduler::kRetired);
   }
 
-  for (;;) {
-    // Pick the runnable processor with the earliest local time (ties
-    // broken by node id, keeping runs deterministic).
-    Processor* next = nullptr;
-    for (auto& proc : procs_) {
-      if (!proc->has_pending_) continue;
-      if (next == nullptr || proc->time_ < next->time_) {
-        next = proc.get();
-      }
-    }
-    if (next == nullptr) {
-      break;  // All programs finished (or none issued accesses).
-    }
+  // Issue the pending access of the processor with the earliest local
+  // time (ties to the lowest node id, keeping runs deterministic).
+  while (!sched.done()) {
+    Processor* next = procs_[sched.winner()].get();
     if (cfg_.max_cycles != 0 && next->time_ > cfg_.max_cycles) {
       timed_out_ = true;  // Watchdog: leave remaining programs suspended.
       break;
@@ -103,17 +98,14 @@ void System::run() {
                         stats_.eliminated_acquisitions);
     }
 
-    // Time accounting. Under sequential consistency (paper default) one
-    // issue cycle is busy and the rest of the access latency is read or
-    // write stall (paper: stall on every L2 miss). Under processor
-    // consistency, plain stores retire into a finite write buffer: the
-    // processor only stalls when the buffer is full; reads and atomic
-    // RMWs remain blocking (paper §6 discussion).
+    // Time accounting: sequential consistency (paper default) via
+    // account_access(). Under processor consistency, plain stores retire
+    // into a finite write buffer: the processor only stalls when the
+    // buffer is full; reads and atomic RMWs remain blocking (paper §6
+    // discussion).
     TimeBreakdown& tb = stats_.per_proc[next->id_];
-    const Cycles issue = std::min<Cycles>(res.latency, cfg_.latency.l1_access);
-    const bool buffered = cfg_.consistency == ConsistencyModel::kPc &&
-                          req.op == MemOpKind::kWrite;
-    if (buffered) {
+    if (cfg_.consistency == ConsistencyModel::kPc &&
+        req.op == MemOpKind::kWrite) {
       auto& wb = next->write_buffer_;
       while (!wb.empty() && wb.front() <= next->time_) {
         wb.pop_front();  // Drain completed stores.
@@ -124,21 +116,19 @@ void System::run() {
         wb.pop_front();
       }
       wb.push_back(next->time_ + stall + res.latency);
+      const Cycles issue =
+          std::min<Cycles>(res.latency, cfg_.latency.l1_access);
       tb.busy += issue;
       tb.write_stall += stall;
       next->time_ += stall + issue;
     } else {
-      tb.busy += issue;
-      const Cycles stall = res.latency - issue;
-      if (req.is_write()) {
-        tb.write_stall += stall;
-      } else {
-        tb.read_stall += stall;
-      }
+      account_access(tb, req.is_write(), res.latency, cfg_.latency.l1_access);
       next->time_ += res.latency;
     }
     next->result_ = res.value;
     next->resume_point_.resume();
+    sched.update(next->id_,
+                 next->has_pending_ ? next->time_ : IssueScheduler::kRetired);
   }
 
   // Fold compute-cycle busy time into the stats and flush classifiers.

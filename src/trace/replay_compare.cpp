@@ -1,9 +1,9 @@
 #include "trace/replay_compare.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "exec/parallel_executor.hpp"
+#include "machine/issue_scheduler.hpp"
 #include "machine/system.hpp"
 #include "mem/address_space.hpp"
 #include "trace/config_hash.hpp"
@@ -84,9 +84,13 @@ ReplayCompareEngine::ReplayCompareEngine(const Trace& trace,
   check_config_compatible(trace, base_);
   streams_.resize(static_cast<std::size_t>(base_.num_nodes));
   const auto& records = trace.records();
-  for (const TraceRecord& r : records) {
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const TraceRecord& r = records[i];
     if (r.node >= streams_.size()) {
-      throw std::out_of_range("trace record for node outside machine");
+      throw std::out_of_range(
+          "trace record " + std::to_string(i) + " has node " +
+          std::to_string(r.node) + ", outside the " +
+          std::to_string(streams_.size()) + "-node machine");
     }
     DecodedAccess d;
     d.addr = r.addr;
@@ -122,38 +126,22 @@ RunResult ReplayCompareEngine::replay_collect(const MachineConfig& config,
     memory.directory().reserve(hint);
   }
 
-  constexpr Cycles kDone = std::numeric_limits<Cycles>::max();
   const auto& final_gaps = trace_->meta().final_gaps;
   const std::size_t nodes = streams_.size();
   std::vector<std::size_t> cursor(nodes, 0);
   std::vector<Cycles> clock(nodes, 0);
-  // Cached next issue time per node: only the node that issued changes
-  // between iterations, so the min-scan reads a flat Cycles array
-  // instead of chasing cursors into the record stream.
-  std::vector<Cycles> next_issue(nodes, kDone);
+  IssueScheduler sched(nodes);
   for (std::size_t n = 0; n < nodes; ++n) {
-    if (!streams_[n].empty()) next_issue[n] = streams_[n][0].gap;
+    if (!streams_[n].empty()) sched.update(n, streams_[n][0].gap);
   }
 
-  // The live scheduler, without the coroutines: always issue the pending
-  // access with the earliest issue time (strict < with ascending node
-  // scan = ties to the lowest node id, exactly like System::run), then
-  // advance that node's clock by the access latency. The recorded gap is
-  // the compute the program did between the accesses.
-  for (;;) {
-    // Min-reduction first (branchless, vectorizable), then the first
-    // index holding the minimum — identical to a strict-< ascending scan
-    // (ties resolve to the lowest node id, exactly like System::run).
-    Cycles best_issue = next_issue[0];
-    for (std::size_t n = 1; n < nodes; ++n) {
-      best_issue = std::min(best_issue, next_issue[n]);
-    }
-    if (best_issue == kDone) break;
-    std::size_t best = 0;
-    while (next_issue[best] != best_issue) {
-      ++best;
-    }
-
+  // The live scheduler, without the coroutines: the same IssueScheduler
+  // picks the pending access with the earliest issue time, then that
+  // node's clock advances by the access latency. The recorded gap is the
+  // compute the program did between the accesses.
+  while (!sched.done()) {
+    const std::size_t best = sched.winner();
+    const Cycles issue_time = sched.winner_time();
     const DecodedAccess& d = streams_[best][cursor[best]++];
     AccessRequest req;
     req.op = d.op;
@@ -162,7 +150,7 @@ RunResult ReplayCompareEngine::replay_collect(const MachineConfig& config,
     req.tag = d.tag;
     req.site = d.site;
     const AccessResult res =
-        memory.access(static_cast<NodeId>(best), req, best_issue);
+        memory.access(static_cast<NodeId>(best), req, issue_time);
 
     const bool is_write = req.is_write();
     if (is_write) {
@@ -170,23 +158,14 @@ RunResult ReplayCompareEngine::replay_collect(const MachineConfig& config,
     } else {
       stats.read_latency.record(res.latency);
     }
-    // SC time accounting, verbatim from System::run: one issue-width
-    // slice is busy, the rest of the latency is read or write stall, and
-    // the inter-access gap itself was compute (busy) time.
+    // The inter-access gap was compute (busy) time.
     TimeBreakdown& tb = stats.per_proc[best];
-    const Cycles issue_cost =
-        std::min<Cycles>(res.latency, config.latency.l1_access);
-    tb.busy += d.gap + issue_cost;
-    const Cycles stall = res.latency - issue_cost;
-    if (is_write) {
-      tb.write_stall += stall;
-    } else {
-      tb.read_stall += stall;
-    }
-    clock[best] = best_issue + res.latency;
+    tb.busy += d.gap;
+    account_access(tb, is_write, res.latency, config.latency.l1_access);
+    clock[best] = issue_time + res.latency;
     if (cursor[best] < streams_[best].size()) {
       const DecodedAccess& up = streams_[best][cursor[best]];
-      next_issue[best] = clock[best] + up.gap;
+      sched.update(best, clock[best] + up.gap);
       // The replay engine knows each node's future accesses — something a
       // live execution never does. Warm the host cache for the simulated
       // structures the upcoming access will probe; by the time this node
@@ -194,7 +173,7 @@ RunResult ReplayCompareEngine::replay_collect(const MachineConfig& config,
       // latency. Stat-neutral: prefetch touches no simulated state.
       memory.prefetch(static_cast<NodeId>(best), up.addr);
     } else {
-      next_issue[best] = kDone;
+      sched.update(best, IssueScheduler::kRetired);
     }
   }
 

@@ -1,10 +1,12 @@
 #include "trace/trace.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "trace/replay_compare.hpp"
 
@@ -42,6 +44,29 @@ T get(std::istream& is) {
 void check_stream(std::istream& is) {
   if (!is) {
     throw std::runtime_error("truncated lssim trace file");
+  }
+}
+
+/// Bytes between the read position and the end of a seekable stream; 0
+/// when the stream cannot seek (a pipe), leaving the position unchanged.
+std::uint64_t bytes_left(std::istream& is) {
+  const std::istream::pos_type here = is.tellg();
+  if (here == std::istream::pos_type(-1)) return 0;
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.clear();
+  is.seekg(here);
+  return end > here ? static_cast<std::uint64_t>(end - here) : 0;
+}
+
+/// Rejects a record field the simulator cannot represent, naming the
+/// field and the record's index.
+void check_field(bool ok, const char* field, unsigned value,
+                 std::uint64_t index) {
+  if (!ok) {
+    throw std::runtime_error("corrupt lssim trace file: record " +
+                             std::to_string(index) + " has " + field + " " +
+                             std::to_string(value));
   }
 }
 
@@ -114,7 +139,10 @@ Trace Trace::load(std::istream& is) {
 
   const std::uint64_t count = get<std::uint64_t>(is);
   check_stream(is);
-  trace.records_.reserve(count);
+  // The count is untrusted: reserve no more records than the bytes left
+  // could hold (v2 records are 41 bytes, v1 records 20).
+  const std::uint64_t record_bytes = v2 ? 41 : 20;
+  trace.records_.reserve(std::min(count, bytes_left(is) / record_bytes));
   for (std::uint64_t i = 0; i < count; ++i) {
     TraceRecord r;
     r.addr = get<std::uint64_t>(is);
@@ -134,6 +162,11 @@ Trace Trace::load(std::istream& is) {
     r.size = get<std::uint8_t>(is);
     r.tag = get<std::uint8_t>(is);
     check_stream(is);
+    check_field(r.op <= static_cast<std::uint8_t>(MemOpKind::kCas), "op",
+                r.op, i);
+    check_field(r.size == 1 || r.size == 2 || r.size == 4 || r.size == 8,
+                "size", r.size, i);
+    check_field(r.tag < kNumStreamTags, "tag", r.tag, i);
     trace.records_.push_back(r);
   }
   return trace;

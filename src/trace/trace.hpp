@@ -86,7 +86,10 @@ class Trace {
   /// files (hash_version loads as 0) and version-1 files (whose records
   /// carry no data payloads — their wdata loads as the historical
   /// placeholder value 1 — and no metadata, so config compatibility is
-  /// unchecked).
+  /// unchecked). load() throws std::runtime_error on a truncated file
+  /// and on a record whose op, size or tag is out of range (the message
+  /// names the field and the record index); node ids are checked against
+  /// the replay machine (ReplayCompareEngine).
   void save(std::ostream& os) const;
   [[nodiscard]] static Trace load(std::istream& is);
 

@@ -113,69 +113,69 @@ void build_structure(CholeskyContext& ctx, int nprocs) {
   }
 }
 
-SimTask<void> do_cdiv(System& sys, std::shared_ptr<CholeskyContext> ctx,
+SimTask<void> do_cdiv(System& sys, const CholeskyContext& ctx,
                       NodeId id, int j) {
   Processor& proc = sys.proc(id);
-  const CholeskyParams& p = ctx->params;
+  const CholeskyParams& p = ctx.params;
   const int jcols = p.mode == CholeskyMode::kDenseBand
                         ? std::min(p.bandwidth, p.n - j)
                         : p.bandwidth;
-  const double diag = from_bits(co_await proc.read(ctx->elem(j, 0), 8));
+  const double diag = from_bits(co_await proc.read(ctx.elem(j, 0), 8));
   const double root = std::sqrt(std::fabs(diag)) + 1e-30;
   proc.compute(24);
-  co_await proc.write(ctx->elem(j, 0), to_bits(root), 8);
+  co_await proc.write(ctx.elem(j, 0), to_bits(root), 8);
   for (int r = 1; r < jcols; ++r) {
-    const double v = from_bits(co_await proc.read(ctx->elem(j, r), 8));
+    const double v = from_bits(co_await proc.read(ctx.elem(j, r), 8));
     proc.compute(p.compute_per_update);
-    co_await proc.write(ctx->elem(j, r), to_bits(v / root), 8);
+    co_await proc.write(ctx.elem(j, r), to_bits(v / root), 8);
   }
   // Fan the cmod tasks out to the owners of the destination columns.
-  const std::uint32_t base = ctx->succ_offset[static_cast<std::size_t>(j)];
+  const std::uint32_t base = ctx.succ_offset[static_cast<std::size_t>(j)];
   const int count =
-      static_cast<int>(ctx->succ[static_cast<std::size_t>(j)].size());
+      static_cast<int>(ctx.succ[static_cast<std::size_t>(j)].size());
   const int nprocs = sys.num_procs();
   for (int s = 0; s < count; ++s) {
     const int k = static_cast<int>(
-        co_await proc.read(ctx->succ_list.addr(base + s)));
+        co_await proc.read(ctx.succ_list.addr(base + s)));
     const std::uint32_t encoded =
         (static_cast<std::uint32_t>(j) << 15) |
         static_cast<std::uint32_t>(k);
-    (void)co_await ctx->queues[ctx->owner(k, nprocs)]->push(proc, encoded);
+    (void)co_await ctx.queues[ctx.owner(k, nprocs)]->push(proc, encoded);
   }
 }
 
-SimTask<void> do_cmod(System& sys, std::shared_ptr<CholeskyContext> ctx,
+SimTask<void> do_cmod(System& sys, const CholeskyContext& ctx,
                       NodeId id, int k, int j) {
   Processor& proc = sys.proc(id);
-  const CholeskyParams& p = ctx->params;
+  const CholeskyParams& p = ctx.params;
   const bool dense = p.mode == CholeskyMode::kDenseBand;
   const int len = p.bandwidth;
   const int jcols = dense ? std::min(len, p.n - j) : len;
 
   const SpinLock col_lock(
-      ctx->col_locks.addr(static_cast<std::uint64_t>(k)));
+      ctx.col_locks.addr(static_cast<std::uint64_t>(k)));
   co_await col_lock.acquire(proc);
   if (dense) {
     // True banded cmod: A(r, k) -= L(r, j) * L(k, j), in packed slots.
     const int kcols = std::min(len, p.n - k);
     const double l_kj =
-        from_bits(co_await proc.read(ctx->elem(j, k - j), 8));
+        from_bits(co_await proc.read(ctx.elem(j, k - j), 8));
     for (int r = 0; r < kcols && k - j + r < jcols; ++r) {
       const double l_rj =
-          from_bits(co_await proc.read(ctx->elem(j, k - j + r), 8));
-      const double a_rk = from_bits(co_await proc.read(ctx->elem(k, r), 8));
+          from_bits(co_await proc.read(ctx.elem(j, k - j + r), 8));
+      const double a_rk = from_bits(co_await proc.read(ctx.elem(k, r), 8));
       proc.compute(p.compute_per_update);
-      co_await proc.write(ctx->elem(k, r), to_bits(a_rk - l_rj * l_kj), 8);
+      co_await proc.write(ctx.elem(k, r), to_bits(a_rk - l_rj * l_kj), 8);
     }
   } else {
     // Synthetic sparse cmod: elementwise column update (real FP work,
     // not a true factorization; see header).
-    const double l_kj = from_bits(co_await proc.read(ctx->elem(j, 0), 8));
+    const double l_kj = from_bits(co_await proc.read(ctx.elem(j, 0), 8));
     for (int r = 0; r < len; ++r) {
-      const double l_rj = from_bits(co_await proc.read(ctx->elem(j, r), 8));
-      const double a_rk = from_bits(co_await proc.read(ctx->elem(k, r), 8));
+      const double l_rj = from_bits(co_await proc.read(ctx.elem(j, r), 8));
+      const double a_rk = from_bits(co_await proc.read(ctx.elem(k, r), 8));
       proc.compute(p.compute_per_update);
-      co_await proc.write(ctx->elem(k, r),
+      co_await proc.write(ctx.elem(k, r),
                           to_bits(a_rk - l_rj * l_kj * 1e-3), 8);
     }
   }
@@ -184,10 +184,10 @@ SimTask<void> do_cmod(System& sys, std::shared_ptr<CholeskyContext> ctx,
   // Publish the modification; the last one schedules cdiv(k) on the
   // owner's queue.
   const std::uint64_t done = co_await proc.fetch_add(
-      ctx->mods_done.addr(static_cast<std::uint64_t>(k)), 1);
+      ctx.mods_done.addr(static_cast<std::uint64_t>(k)), 1);
   if (done + 1 ==
-      static_cast<std::uint64_t>(ctx->needed[static_cast<std::size_t>(k)])) {
-    (void)co_await ctx->queues[ctx->owner(k, sys.num_procs())]->push(
+      static_cast<std::uint64_t>(ctx.needed[static_cast<std::size_t>(k)])) {
+    (void)co_await ctx.queues[ctx.owner(k, sys.num_procs())]->push(
         proc, kCdivFlag | static_cast<std::uint32_t>(k));
   }
 }
@@ -250,12 +250,12 @@ SimTask<void> cholesky_program(System& sys,
     const auto encoded = static_cast<std::uint32_t>(task);
     if ((encoded & kCdivFlag) != 0) {
       const int j = static_cast<int>(encoded & ~kCdivFlag);
-      co_await do_cdiv(sys, ctx, id, j);
+      co_await do_cdiv(sys, *ctx, id, j);
       (void)co_await proc.fetch_add(ctx->done_count, 1);
     } else {
       const int k = static_cast<int>(encoded & 0x7fffu);
       const int j = static_cast<int>(encoded >> 15);
-      co_await do_cmod(sys, ctx, id, k, j);
+      co_await do_cmod(sys, *ctx, id, k, j);
     }
   }
 }

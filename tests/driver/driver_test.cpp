@@ -310,6 +310,45 @@ TEST(DriverRunner, RejectsUnknownParameter) {
                std::invalid_argument);
 }
 
+/// The message make_driver_builder rejects `key=value` with ("" when it
+/// accepts the value).
+std::string param_error(const std::string& workload, const std::string& key,
+                        const std::string& value) {
+  DriverOptions options;
+  options.workload = workload;
+  options.params[key] = value;
+  try {
+    (void)make_driver_builder(options);
+  } catch (const WorkloadParamError& ex) {
+    return ex.what();
+  }
+  return "";
+}
+
+TEST(DriverRunner, RejectsMalformedParameterValueNamingTheKey) {
+  EXPECT_EQ(param_error("pingpong", "rounds", "abc"),
+            "bad value for workload parameter rounds: 'abc' (expected a "
+            "whole number from 0 to 2147483647)");
+  EXPECT_NE(param_error("pingpong", "rounds", "-5").find("rounds: '-5'"),
+            std::string::npos);
+  // Whole-string parses: no trailing text, no blanks, no overflow.
+  EXPECT_NE(param_error("pingpong", "rounds", "12x"), "");
+  EXPECT_NE(param_error("pingpong", "rounds", " 12"), "");
+  EXPECT_NE(param_error("pingpong", "rounds", ""), "");
+  EXPECT_NE(param_error("pingpong", "rounds", "2147483648"), "");
+  EXPECT_NE(param_error("private", "words_per_proc", "-1"), "");
+  EXPECT_NE(param_error("private", "words_per_proc", "18446744073709551616"),
+            "");
+  EXPECT_NE(param_error("oltp", "lookup_fraction", "1.5"), "");
+  EXPECT_NE(param_error("oltp", "lookup_fraction", "nan"), "");
+  EXPECT_NE(param_error("oltp", "lookup_fraction", "0.5abc"), "");
+  // In-range values still parse.
+  EXPECT_EQ(param_error("pingpong", "rounds", "0"), "");
+  EXPECT_EQ(param_error("private", "words_per_proc", "18446744073709551615"),
+            "");
+  EXPECT_EQ(param_error("oltp", "lookup_fraction", "0.25"), "");
+}
+
 TEST(DriverRunner, RejectsInvalidMachine) {
   DriverOptions options;
   options.workload = "pingpong";

@@ -7,6 +7,7 @@ codes:
 
   0 — capture, replay from a matching trace, and a cross-check on a
       feedback-insensitive workload (private-RMW with sync=0)
+  1 — replaying a trace file with an out-of-range record field
   2 — replaying a trace on a machine whose protocol-insensitive config
       differs (both config hashes must appear in the diagnostic)
   5 — cross-check divergence on a feedback-sensitive workload
@@ -14,6 +15,7 @@ codes:
 """
 
 import os
+import struct
 import subprocess
 import tempfile
 import unittest
@@ -85,6 +87,15 @@ class ReplaySmokeTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stderr)
         for name in ("Baseline", "AD", "LS"):
             self.assertIn(name, proc.stdout)
+
+    def test_replay_from_corrupt_trace_exits_1_naming_the_field(self):
+        # A version-1 file with one record whose op byte is 200.
+        with open(self.trace, "wb") as f:
+            f.write(b"LSTRACE1" + struct.pack("<Q", 1) +
+                    struct.pack("<QQBBBB", 0x40, 0, 0, 200, 4, 0))
+        proc = run(*PRIVATE, "--replay-from", self.trace)
+        self.assertEqual(proc.returncode, 1, proc.stderr)
+        self.assertIn("record 0 has op 200", proc.stderr)
 
 
 if __name__ == "__main__":

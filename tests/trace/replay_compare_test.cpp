@@ -76,6 +76,30 @@ TEST(ReplayCompare, SameProtocolReplayBitIdenticalAcrossMatrix) {
   }
 }
 
+TEST(ReplayCompare, SameProtocolReplayAgreesAt128And256Nodes) {
+  // Claim 1 at depth: the issue scheduler's tree spans 128 and 256
+  // leaves here, and replay must still interleave exactly like the live
+  // run it was captured from.
+  for (int nodes : {128, 256}) {
+    MachineConfig cfg = small_cfg();
+    cfg.num_nodes = nodes;
+    cfg.protocol.kind = ProtocolKind::kLs;
+    cfg.directory_scheme = DirectoryKind::kLimitedPtr;
+    const CapturedTrace captured = capture_trace(
+        cfg, [](System& sys) {
+          build_private_rmw(sys, PrivateRmwParams{.words_per_proc = 128,
+                                                  .sweeps = 2,
+                                                  .sync = 0});
+        });
+    const ReplayCompareEngine engine(captured.trace, cfg);
+    const std::vector<std::string> diffs = compare_replay(
+        captured.executed,
+        engine.replay(ProtocolKind::kLs, DirectoryKind::kLimitedPtr));
+    EXPECT_TRUE(diffs.empty())
+        << nodes << " nodes: " << (diffs.empty() ? "" : diffs.front());
+  }
+}
+
 TEST(ReplayCompare, CrossProtocolAgreesOnFeedbackInsensitiveWorkloads) {
   // Claim 2: one baseline capture drives every protocol, and each
   // replay matches that protocol's live execution bit for bit.

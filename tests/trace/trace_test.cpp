@@ -78,6 +78,59 @@ TEST(Trace, LoadRejectsTruncated) {
   EXPECT_THROW((void)Trace::load(truncated), std::runtime_error);
 }
 
+TEST(Trace, LoadRejectsHugeRecordCount) {
+  // 16 bytes: a v1 header claiming 2^60 records and no record bytes. The
+  // reservation is capped by the bytes left, so this reads as truncated
+  // instead of attempting the allocation.
+  std::stringstream buffer;
+  buffer.write("LSTRACE1", 8);
+  const std::uint64_t count = std::uint64_t{1} << 60;
+  for (int i = 0; i < 8; ++i) {
+    buffer.put(static_cast<char>((count >> (8 * i)) & 0xff));
+  }
+  ASSERT_EQ(buffer.str().size(), 16u);
+  try {
+    (void)Trace::load(buffer);
+    FAIL() << "2^60-record header accepted";
+  } catch (const std::runtime_error& ex) {
+    EXPECT_STREQ(ex.what(), "truncated lssim trace file");
+  }
+}
+
+/// Saves a good record and one rewritten by `corrupt`, loads the file
+/// back and returns the load error ("" when it loads).
+std::string load_error(void (*corrupt)(TraceRecord&)) {
+  Trace trace;
+  TraceRecord r;
+  r.addr = 0x40;
+  trace.append(r);
+  corrupt(r);
+  trace.append(r);
+  std::stringstream buffer;
+  trace.save(buffer);
+  try {
+    (void)Trace::load(buffer);
+  } catch (const std::runtime_error& ex) {
+    return ex.what();
+  }
+  return "";
+}
+
+TEST(Trace, LoadRejectsOutOfRangeFieldsNamingFieldAndRecord) {
+  EXPECT_EQ(load_error([](TraceRecord& r) {
+              r.op = 200;
+              r.size = 0;
+            }),
+            "corrupt lssim trace file: record 1 has op 200");
+  EXPECT_EQ(load_error([](TraceRecord& r) { r.size = 0; }),
+            "corrupt lssim trace file: record 1 has size 0");
+  EXPECT_EQ(load_error([](TraceRecord& r) { r.size = 3; }),
+            "corrupt lssim trace file: record 1 has size 3");
+  EXPECT_EQ(load_error([](TraceRecord& r) { r.tag = kNumStreamTags; }),
+            "corrupt lssim trace file: record 1 has tag 3");
+  EXPECT_EQ(load_error([](TraceRecord&) {}), "");  // In range: loads.
+}
+
 TEST(Trace, ReplayExecutesAllAccesses) {
   const Trace trace = record_pingpong();
   Stats stats(4);
@@ -104,11 +157,18 @@ TEST(Trace, ReplayUnderLsEliminatesOwnership) {
 TEST(Trace, ReplayRejectsOutOfRangeNode) {
   Trace trace;
   TraceRecord r;
+  trace.append(r);
   r.node = 9;  // Machine below has 4 nodes.
   trace.append(r);
   Stats stats(4);
-  EXPECT_THROW((void)replay_trace(trace, tiny_cfg(), stats),
-               std::out_of_range);
+  try {
+    (void)replay_trace(trace, tiny_cfg(), stats);
+    FAIL() << "node 9 accepted on a 4-node machine";
+  } catch (const std::out_of_range& ex) {
+    // The message names the record and the node.
+    EXPECT_STREQ(ex.what(),
+                 "trace record 1 has node 9, outside the 4-node machine");
+  }
 }
 
 TEST(Trace, ReplayIsDeterministic) {

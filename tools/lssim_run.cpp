@@ -1,9 +1,10 @@
 // lssim_run — command-line driver for single simulations and protocol
 // comparisons. See --help (driver_usage in src/driver/options.hpp).
 //
-// Exit codes: 0 success, 1 runtime error (bad workload parameters,
-// invalid machine config), 2 usage error — including a --replay-from
-// trace whose machine-config hash does not match the simulated machine,
+// Exit codes: 0 success, 1 runtime error (unknown workload parameters,
+// invalid machine config), 2 usage error — including a malformed or
+// out-of-range --set value and a --replay-from trace whose
+// machine-config hash does not match the simulated machine,
 // 3 output I/O failure (results or a --*-out artifact could not be
 // fully written), 4 coherence invariant violation (--check-invariants;
 // details on stderr), 5 replay cross-check divergence
@@ -87,6 +88,9 @@ int main(int argc, char** argv) {
         return 5;
       }
     } catch (const TraceConfigMismatch& ex) {
+      std::fprintf(stderr, "lssim_run: %s\n", ex.what());
+      return 2;
+    } catch (const WorkloadParamError& ex) {
       std::fprintf(stderr, "lssim_run: %s\n", ex.what());
       return 2;
     } catch (const std::exception& ex) {
@@ -186,6 +190,9 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(violations));
       return 4;
     }
+  } catch (const WorkloadParamError& ex) {
+    std::fprintf(stderr, "lssim_run: %s\n", ex.what());
+    return 2;
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "lssim_run: %s\n", ex.what());
     return 1;
