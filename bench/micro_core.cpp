@@ -1,11 +1,16 @@
 // Core-structure microbenchmarks (google-benchmark): throughput of the
 // simulator's hot paths — cache lookup, directory access, full protocol
-// transactions, network sends and the coroutine scheduler.
+// transactions, network sends and the coroutine scheduler — and of the
+// bulk telemetry exporters.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <ostream>
+#include <streambuf>
+#include <string>
 
 #include "lssim.hpp"
+#include "telemetry/audit.hpp"
 
 namespace {
 
@@ -164,5 +169,93 @@ void BM_WordMask(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WordMask);
+
+// Collects an exporter's output in one string whose capacity is reused
+// across iterations, so only the serialisation is timed.
+class StringSink : public std::streambuf {
+ public:
+  std::string text;
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    text.append(s, static_cast<std::size_t>(n));
+    return n;
+  }
+  int_type overflow(int_type ch) override {
+    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
+      text.push_back(traits_type::to_char_type(ch));
+    }
+    return traits_type::not_eof(ch);
+  }
+};
+
+// ns per exported event and output bytes per second.
+void report_export(benchmark::State& state, std::size_t events,
+                   std::size_t bytes) {
+  state.counters["per_event"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(events),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+
+void BM_ExportChromeTrace(benchmark::State& state) {
+  // 28k events over 4 nodes, about the size of perfbench's
+  // oltp4_observed trace: 3 spans per instant, ascending cycles.
+  constexpr std::size_t kEvents = 28000;
+  CoherenceTrace trace(kEvents);
+  Rng rng(1);
+  Cycles now = 0;
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    const auto node = static_cast<NodeId>(rng.next_below(4));
+    const Addr block = rng.next_below(1 << 19) * 32;
+    now += rng.next_below(100);
+    if (i % 4 == 3) {
+      trace.instant(node, ProtoEventKind::kTag, block, now);
+    } else {
+      trace.span(node, ProtoEventKind::kReadMiss, block, now,
+                 now + 200 + rng.next_below(400));
+    }
+  }
+  const std::vector<TraceProcess> processes = {
+      TraceProcess{"LS", &trace, nullptr}};
+  StringSink sink;
+  std::ostream os(&sink);
+  for (auto _ : state) {
+    sink.text.clear();
+    write_chrome_trace(os, processes);
+    benchmark::DoNotOptimize(sink.text.data());
+    benchmark::ClobberMemory();
+  }
+  report_export(state, kEvents, sink.text.size());
+}
+BENCHMARK(BM_ExportChromeTrace)->Unit(benchmark::kMillisecond);
+
+void BM_ExportAuditJsonl(benchmark::State& state) {
+  // 4k tag-decision records, about perfbench's oltp4_observed trail.
+  constexpr std::size_t kRecords = 4000;
+  TagAuditLog log(kRecords);
+  Rng rng(2);
+  Cycles now = 0;
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    now += rng.next_below(200);
+    const bool tag = rng.next_bool(0.75);
+    log.record(now, rng.next_below(1 << 19) * 32,
+               static_cast<NodeId>(rng.next_below(4)),
+               tag ? TagAuditEvent::kTag : TagAuditEvent::kDetag,
+               tag ? TagReason::kLsSequence : TagReason::kForeignAccess, 0,
+               0, tag);
+  }
+  StringSink sink;
+  std::ostream os(&sink);
+  for (auto _ : state) {
+    sink.text.clear();
+    write_audit_jsonl(os, log, "LS");
+    benchmark::DoNotOptimize(sink.text.data());
+    benchmark::ClobberMemory();
+  }
+  report_export(state, kRecords, sink.text.size());
+}
+BENCHMARK(BM_ExportAuditJsonl)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,35 +1,33 @@
 #include "telemetry/audit.hpp"
 
-#include "telemetry/json.hpp"
+#include "telemetry/json_writer.hpp"
 
 namespace lssim {
 
 void write_audit_jsonl(std::ostream& os, const TagAuditLog& log,
                        std::string_view protocol) {
-  const std::string proto(protocol);
-  log.for_each([&os, &proto](const TagAuditRecord& rec) {
-    Json::Object o;
-    o.emplace_back("protocol", Json(proto));
-    o.emplace_back("time", Json(rec.time));
-    o.emplace_back("block", Json(rec.block));
-    o.emplace_back("node", Json(static_cast<int>(rec.node)));
-    o.emplace_back("event", Json(to_string(rec.event)));
-    o.emplace_back("reason", Json(to_string(rec.reason)));
-    o.emplace_back("tag_progress", Json(static_cast<int>(rec.tag_progress)));
-    o.emplace_back("detag_progress",
-                   Json(static_cast<int>(rec.detag_progress)));
-    o.emplace_back("tagged", Json(rec.tagged));
-    Json(std::move(o)).write(os, 0);
-    os << '\n';
+  JsonWriter w(os);
+  log.for_each([&w, protocol](const TagAuditRecord& rec) {
+    w.begin_object();
+    w.member("protocol", protocol);
+    w.member("time", rec.time);
+    w.member("block", rec.block);
+    w.member("node", static_cast<int>(rec.node));
+    w.member("event", to_string(rec.event));
+    w.member("reason", to_string(rec.reason));
+    w.member("tag_progress", static_cast<int>(rec.tag_progress));
+    w.member("detag_progress", static_cast<int>(rec.detag_progress));
+    w.member("tagged", rec.tagged);
+    w.end_object();
+    w.raw("\n");
   });
-  Json::Object summary;
-  summary.emplace_back("protocol", Json(proto));
-  summary.emplace_back("event", Json("summary"));
-  summary.emplace_back("recorded", Json(log.total()));
-  summary.emplace_back("retained",
-                       Json(static_cast<std::uint64_t>(log.size())));
-  Json(std::move(summary)).write(os, 0);
-  os << '\n';
+  w.begin_object();
+  w.member("protocol", protocol);
+  w.member("event", "summary");
+  w.member("recorded", log.total());
+  w.member("retained", static_cast<std::uint64_t>(log.size()));
+  w.end_object();
+  w.raw("\n");
 }
 
 }  // namespace lssim

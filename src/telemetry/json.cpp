@@ -1,104 +1,38 @@
 #include "telemetry/json.hpp"
 
-#include <cctype>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
+#include "telemetry/json_writer.hpp"
+
 namespace lssim {
 
-void write_json_string(std::ostream& os, std::string_view text) {
-  os << '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-void Json::write_impl(std::ostream& os, int indent, int depth) const {
-  const auto newline = [&](int d) {
-    if (indent > 0) {
-      os << '\n';
-      for (int i = 0; i < d * indent; ++i) os << ' ';
-    }
-  };
+void Json::write(JsonWriter& writer) const {
   switch (type_) {
-    case Type::kNull:
-      os << "null";
+    case Type::kNull: writer.value(nullptr); break;
+    case Type::kBool: writer.value(bool_); break;
+    case Type::kUint: writer.value(uint_); break;
+    case Type::kNumber: writer.value(num_); break;
+    case Type::kString: writer.value(std::string_view(str_)); break;
+    case Type::kArray:
+      writer.begin_array();
+      for (const Json& item : arr_) item.write(writer);
+      writer.end_array();
       break;
-    case Type::kBool:
-      os << (bool_ ? "true" : "false");
-      break;
-    case Type::kUint:
-      os << uint_;
-      break;
-    case Type::kNumber: {
-      if (std::isfinite(num_)) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.17g", num_);
-        os << buf;
-      } else {
-        os << "null";  // JSON has no Inf/NaN.
+    case Type::kObject:
+      writer.begin_object();
+      for (const auto& [key, value] : obj_) {
+        writer.key(key);
+        value.write(writer);
       }
+      writer.end_object();
       break;
-    }
-    case Type::kString:
-      write_json_string(os, str_);
-      break;
-    case Type::kArray: {
-      if (arr_.empty()) {
-        os << "[]";
-        break;
-      }
-      os << '[';
-      for (std::size_t i = 0; i < arr_.size(); ++i) {
-        if (i > 0) os << ',';
-        newline(depth + 1);
-        arr_[i].write_impl(os, indent, depth + 1);
-      }
-      newline(depth);
-      os << ']';
-      break;
-    }
-    case Type::kObject: {
-      if (obj_.empty()) {
-        os << "{}";
-        break;
-      }
-      os << '{';
-      for (std::size_t i = 0; i < obj_.size(); ++i) {
-        if (i > 0) os << ',';
-        newline(depth + 1);
-        write_json_string(os, obj_[i].first);
-        os << ':';
-        if (indent > 0) os << ' ';
-        obj_[i].second.write_impl(os, indent, depth + 1);
-      }
-      newline(depth);
-      os << '}';
-      break;
-    }
   }
 }
 
 void Json::write(std::ostream& os, int indent) const {
-  write_impl(os, indent, 0);
+  JsonWriter writer(os, indent);
+  write(writer);
 }
 
 std::string Json::dump(int indent) const {

@@ -1,11 +1,14 @@
 // Minimal JSON document model for the telemetry layer: the metrics
-// snapshot, the Perfetto trace export and the run manifest all emit JSON,
-// and the tests (and `--manifest-out` consumers) need to parse it back.
+// snapshot, the latency report and the run manifest are built as trees,
+// and the tests (and `--manifest-out` consumers) need to parse JSON back.
+// The bulk exporters (Perfetto trace, audit JSONL) stream through
+// JsonWriter without a tree.
 //
-// Deliberately small: a value variant, a writer and a recursive-descent
-// parser. Unsigned integers round-trip exactly (counters can exceed the
-// 2^53 double range); everything else is stored as double. No external
-// dependencies.
+// Deliberately small: a value variant, a recursive-descent parser, and a
+// tree walk into the streaming JsonWriter (json_writer.hpp), which owns
+// the layout. Unsigned integers round-trip exactly (counters can exceed
+// the 2^53 double range); everything else is stored as double. No
+// external dependencies.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +21,8 @@
 #include <vector>
 
 namespace lssim {
+
+class JsonWriter;
 
 class Json {
  public:
@@ -103,6 +108,8 @@ class Json {
   /// Serialises to `os`. `indent` > 0 pretty-prints with that many spaces
   /// per level; 0 emits a compact single line.
   void write(std::ostream& os, int indent = 0) const;
+  /// Emits this value into `writer`, e.g. to embed a tree in a stream.
+  void write(JsonWriter& writer) const;
   [[nodiscard]] std::string dump(int indent = 0) const;
 
   /// Parses `text`; on failure returns a null value and sets `*error` to
@@ -111,8 +118,6 @@ class Json {
   static Json parse(std::string_view text, std::string* error);
 
  private:
-  void write_impl(std::ostream& os, int indent, int depth) const;
-
   Type type_ = Type::kNull;
   bool bool_ = false;
   std::uint64_t uint_ = 0;
@@ -121,8 +126,5 @@ class Json {
   Array arr_;
   Object obj_;
 };
-
-/// Writes `text` as a quoted JSON string with escapes to `os`.
-void write_json_string(std::ostream& os, std::string_view text);
 
 }  // namespace lssim

@@ -1,0 +1,76 @@
+#include "telemetry/json_writer.hpp"
+
+#include <cmath>
+#include <cstdio>
+
+namespace lssim {
+namespace {
+
+constexpr std::size_t kBufferBytes = 64 * 1024;
+
+}  // namespace
+
+JsonWriter::JsonWriter(std::ostream& os, int indent)
+    : os_(os),
+      indent_(indent > 0 ? static_cast<std::size_t>(indent) : 0),
+      buf_(std::make_unique_for_overwrite<char[]>(kBufferBytes)),
+      pos_(buf_.get()),
+      end_(buf_.get() + kBufferBytes),
+      separators_(indent_ > 0 ? ",\n" : ",") {}
+
+JsonWriter::~JsonWriter() { flush(); }
+
+void JsonWriter::flush() {
+  if (pos_ == buf_.get()) return;
+  os_.write(buf_.get(), pos_ - buf_.get());
+  pos_ = buf_.get();
+}
+
+void JsonWriter::put_long(std::string_view text) {
+  flush();
+  if (text.size() >= kBufferBytes) {
+    os_.write(text.data(), static_cast<std::streamsize>(text.size()));
+    return;
+  }
+  std::memcpy(pos_, text.data(), text.size());
+  pos_ += text.size();
+}
+
+void JsonWriter::put_escape(char c) {
+  switch (c) {
+    case '"': put("\\\""); break;
+    case '\\': put("\\\\"); break;
+    case '\n': put("\\n"); break;
+    case '\r': put("\\r"); break;
+    case '\t': put("\\t"); break;
+    default: {
+      char escape[8];
+      std::snprintf(escape, sizeof(escape), "\\u%04x",
+                    static_cast<unsigned>(static_cast<unsigned char>(c)));
+      put(std::string_view(escape, 6));
+    }
+  }
+}
+
+void JsonWriter::open(char bracket, bool object) {
+  begin_element(false);
+  put(bracket);
+  stack_.push_back(Level{object, true});
+  const std::size_t needed = 2 + stack_.size() * indent_;
+  if (indent_ > 0 && separators_.size() < needed) {
+    separators_.resize(needed, ' ');
+  }
+}
+
+void JsonWriter::value(double v) {
+  begin_element(false);
+  if (!std::isfinite(v)) {
+    put("null");
+    return;
+  }
+  char digits[32];
+  const int n = std::snprintf(digits, sizeof(digits), "%.17g", v);
+  put(std::string_view(digits, static_cast<std::size_t>(n)));
+}
+
+}  // namespace lssim

@@ -1,68 +1,98 @@
 #include "telemetry/perfetto.hpp"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "telemetry/json.hpp"
+#include "telemetry/json_writer.hpp"
 
 namespace lssim {
 namespace {
 
-Json block_args(Addr block) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "0x%06llx",
-                static_cast<unsigned long long>(block));
-  Json::Object args;
-  args.emplace_back("block", Json(std::string(buf)));
-  return Json(std::move(args));
+// The "args" member of a coherence event: the block address as
+// "0x%06llx", formatted by hand because it is written once per event.
+void write_block_args(JsonWriter& w, Addr block) {
+  char hex[18];
+  char* const end = hex + sizeof(hex);
+  char* p = end;
+  do {
+    *--p = "0123456789abcdef"[block & 0xf];
+    block >>= 4;
+  } while (block != 0);
+  while (end - p < 6) *--p = '0';
+  *--p = 'x';
+  *--p = '0';
+  w.key("args");
+  w.begin_object();
+  w.member("block", std::string_view(p, static_cast<std::size_t>(end - p)));
+  w.end_object();
 }
 
-Json metadata_event(const char* what, int pid, int tid, std::string name) {
-  Json::Object ev;
-  ev.emplace_back("name", Json(what));
-  ev.emplace_back("ph", Json("M"));
-  ev.emplace_back("pid", Json(pid));
-  if (tid >= 0) ev.emplace_back("tid", Json(tid));
-  Json::Object args;
-  args.emplace_back("name", Json(std::move(name)));
-  ev.emplace_back("args", Json(std::move(args)));
-  return Json(std::move(ev));
+void write_metadata(JsonWriter& w, const char* what, int pid, int tid,
+                    std::string_view name) {
+  w.begin_object();
+  w.member("name", what);
+  w.member("ph", "M");
+  w.member("pid", pid);
+  if (tid >= 0) w.member("tid", tid);
+  w.key("args");
+  w.begin_object();
+  w.member("name", name);
+  w.end_object();
+  w.end_object();
 }
 
-Json span_event(int pid, const TraceSpan& s) {
-  Json::Object ev;
-  ev.emplace_back("name", Json(to_string(s.kind)));
-  ev.emplace_back("cat", Json("coherence"));
-  ev.emplace_back("ph", Json("X"));
-  ev.emplace_back("ts", Json(s.begin));
-  ev.emplace_back("dur", Json(s.end - s.begin));
-  ev.emplace_back("pid", Json(pid));
-  ev.emplace_back("tid", Json(static_cast<int>(s.node)));
-  ev.emplace_back("args", block_args(s.block));
-  return Json(std::move(ev));
+void write_span(JsonWriter& w, int pid, const TraceSpan& s) {
+  w.begin_object();
+  w.member("name", to_string(s.kind));
+  w.member("cat", "coherence");
+  w.member("ph", "X");
+  w.member("ts", s.begin);
+  w.member("dur", s.end - s.begin);
+  w.member("pid", pid);
+  w.member("tid", static_cast<int>(s.node));
+  write_block_args(w, s.block);
+  w.end_object();
 }
 
-Json instant_event(int pid, NodeId node, ProtoEventKind kind, Addr block,
-                   Cycles time) {
-  Json::Object ev;
-  ev.emplace_back("name", Json(to_string(kind)));
-  ev.emplace_back("cat", Json("coherence"));
-  ev.emplace_back("ph", Json("i"));
-  ev.emplace_back("s", Json("t"));  // Thread-scoped instant.
-  ev.emplace_back("ts", Json(time));
-  ev.emplace_back("pid", Json(pid));
-  ev.emplace_back("tid", Json(static_cast<int>(node)));
-  ev.emplace_back("args", block_args(block));
-  return Json(std::move(ev));
+void write_instant(JsonWriter& w, int pid, NodeId node, ProtoEventKind kind,
+                   Addr block, Cycles time) {
+  w.begin_object();
+  w.member("name", to_string(kind));
+  w.member("cat", "coherence");
+  w.member("ph", "i");
+  w.member("s", "t");  // Thread-scoped instant.
+  w.member("ts", time);
+  w.member("pid", pid);
+  w.member("tid", static_cast<int>(node));
+  write_block_args(w, block);
+  w.end_object();
 }
 
 }  // namespace
 
-Json chrome_trace_to_json(const std::vector<TraceProcess>& processes) {
-  Json::Array events;
+void write_chrome_trace(std::ostream& os,
+                        const std::vector<TraceProcess>& processes) {
+  // otherData precedes traceEvents, so the drops are summed up front.
   std::uint64_t dropped_total = 0;
+  for (const TraceProcess& proc : processes) {
+    if (proc.trace != nullptr) dropped_total += proc.trace->dropped();
+  }
+
+  JsonWriter w(os, 1);
+  w.begin_object();
+  w.member("displayTimeUnit", "ms");
+  w.key("otherData");
+  w.begin_object();
+  w.member("generator", "lssim");
+  w.member("time_unit", "1 cycle = 1us");
+  w.member("dropped_events", dropped_total);
+  w.end_object();
+  w.key("traceEvents");
+  w.begin_array();
   for (std::size_t p = 0; p < processes.size(); ++p) {
     const TraceProcess& proc = processes[p];
     const int pid = static_cast<int>(p);
-    events.push_back(metadata_event("process_name", pid, -1, proc.name));
+    write_metadata(w, "process_name", pid, -1, proc.name);
 
     std::vector<NodeId> nodes_seen;
     const auto note_node = [&nodes_seen](NodeId node) {
@@ -74,45 +104,30 @@ Json chrome_trace_to_json(const std::vector<TraceProcess>& processes) {
 
     if (proc.trace != nullptr) {
       for (const TraceSpan& s : proc.trace->spans()) {
-        events.push_back(span_event(pid, s));
+        write_span(w, pid, s);
         note_node(s.node);
       }
       for (const TraceInstant& i : proc.trace->instants()) {
-        events.push_back(instant_event(pid, i.node, i.kind, i.block, i.time));
+        write_instant(w, pid, i.node, i.kind, i.block, i.time);
         note_node(i.node);
       }
-      dropped_total += proc.trace->dropped();
     }
     if (proc.log != nullptr) {
       proc.log->for_each([&](const ProtocolEvent& e) {
-        events.push_back(instant_event(pid, e.actor, e.kind, e.block, e.time));
+        write_instant(w, pid, e.actor, e.kind, e.block, e.time);
         note_node(e.actor);
       });
     }
 
     std::sort(nodes_seen.begin(), nodes_seen.end());
     for (const NodeId node : nodes_seen) {
-      events.push_back(metadata_event("thread_name", pid,
-                                      static_cast<int>(node),
-                                      "node " + std::to_string(node)));
+      write_metadata(w, "thread_name", pid, static_cast<int>(node),
+                     "node " + std::to_string(node));
     }
   }
-
-  Json::Object doc;
-  doc.emplace_back("displayTimeUnit", Json("ms"));
-  Json::Object other;
-  other.emplace_back("generator", Json("lssim"));
-  other.emplace_back("time_unit", Json("1 cycle = 1us"));
-  other.emplace_back("dropped_events", Json(dropped_total));
-  doc.emplace_back("otherData", Json(std::move(other)));
-  doc.emplace_back("traceEvents", Json(std::move(events)));
-  return Json(std::move(doc));
-}
-
-void write_chrome_trace(std::ostream& os,
-                        const std::vector<TraceProcess>& processes) {
-  chrome_trace_to_json(processes).write(os, 1);
-  os << '\n';
+  w.end_array();
+  w.end_object();
+  w.raw("\n");
 }
 
 void write_chrome_trace(std::ostream& os, const std::string& name,

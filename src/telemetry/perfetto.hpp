@@ -25,7 +25,6 @@
 
 #include "core/event_log.hpp"
 #include "telemetry/coherence_trace.hpp"
-#include "telemetry/json.hpp"
 
 namespace lssim {
 
@@ -37,11 +36,8 @@ struct TraceProcess {
   const EventLog* log = nullptr;
 };
 
-/// Builds the full Chrome trace-event document.
-[[nodiscard]] Json chrome_trace_to_json(
-    const std::vector<TraceProcess>& processes);
-
-/// Serialises the document for `processes` to `os` (newline-terminated).
+/// Streams the document for `processes` to `os` (newline-terminated),
+/// event by event without building a document tree.
 void write_chrome_trace(std::ostream& os,
                         const std::vector<TraceProcess>& processes);
 

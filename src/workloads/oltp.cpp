@@ -298,10 +298,13 @@ SimTask<void> oltp_program(System& sys, std::shared_ptr<OltpContext> ctx,
       co_await rec_write(proc, header, uses + 1);
     }
 
-    // History append: migratory tail counter + record write.
-    const std::uint64_t slot =
-        co_await proc.fetch_add(ctx->history_tail, 1, 8) %
-        (ctx->history.size() / kRecordWords);
+    // History append: migratory tail counter + record write. The awaited
+    // value gets its own statement: with the co_await as an operand of
+    // `%`, g++ 12 under -fsanitize=address,undefined divided by zero after
+    // the resumption although the ring always has 8192 slots.
+    const std::uint64_t tail =
+        co_await proc.fetch_add(ctx->history_tail, 1, 8);
+    const std::uint64_t slot = tail % (ctx->history.size() / kRecordWords);
     const Addr hist = ctx->rec(ctx->history, static_cast<int>(slot));
     co_await proc.write(hist, (static_cast<std::uint64_t>(branch) << 32) |
                                   key, 8);

@@ -116,6 +116,29 @@ TEST(TagAuditLog, JsonlSummaryReportsTruncation) {
   EXPECT_EQ(summary.find("retained")->as_uint(), 2u);
 }
 
+TEST(TagAuditLog, GoldenWrappedRingJsonl) {
+  // Captured from the tree-based writer the streaming one replaced: the
+  // oldest two records have been overwritten, the summary says so.
+  TagAuditLog log(3);
+  log.record(10, 0x40, 1, TagAuditEvent::kTagProgress,
+             TagReason::kLsSequence, 1, 0, false);
+  log.record(20, 0x40, 1, TagAuditEvent::kTag, TagReason::kLsSequence, 2, 0,
+             true);
+  log.record(35, 0x80, 0, TagAuditEvent::kDetagProgress,
+             TagReason::kForeignAccess, 0, 1, true);
+  log.record(47, 0x80, 3, TagAuditEvent::kDetag, TagReason::kReplacement, 0,
+             0, false);
+  log.record(90, 0xfc0, 2, TagAuditEvent::kTag, TagReason::kMigratoryDetect,
+             0, 0, true);
+  std::ostringstream os;
+  write_audit_jsonl(os, log, "LS");
+  EXPECT_EQ(os.str(), R"({"protocol":"LS","time":35,"block":128,"node":0,"event":"detag-progress","reason":"foreign-access","tag_progress":0,"detag_progress":1,"tagged":true}
+{"protocol":"LS","time":47,"block":128,"node":3,"event":"detag","reason":"replacement","tag_progress":0,"detag_progress":0,"tagged":false}
+{"protocol":"LS","time":90,"block":4032,"node":2,"event":"tag","reason":"migratory-detect","tag_progress":0,"detag_progress":0,"tagged":true}
+{"protocol":"LS","event":"summary","recorded":5,"retained":3}
+)");
+}
+
 // --- Engine hook coverage -------------------------------------------------
 
 struct AuditedFixture {

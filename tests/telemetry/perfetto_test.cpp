@@ -1,5 +1,5 @@
-// Tests for the Chrome trace-event exporter: golden serialization of a
-// hand-built trace, parse-back fidelity, and an end-to-end driver run
+// Tests for the Chrome trace-event exporter: whole-document goldens of
+// hand-built traces, parse-back fidelity, and an end-to-end driver run
 // asserting duration events for every exercised protocol event kind.
 #include "telemetry/perfetto.hpp"
 
@@ -24,30 +24,319 @@ CoherenceTrace make_small_trace() {
   return trace;
 }
 
-TEST(PerfettoTest, GoldenSmallTrace) {
+// Whole-document goldens: the exporter's contract is its bytes. These
+// texts were captured from the tree-based exporter that the streaming one
+// replaced, so any layout drift fails here.
+std::string export_text(const std::vector<TraceProcess>& processes) {
   std::ostringstream os;
-  write_chrome_trace(os, "LS", make_small_trace());
-  const std::string text = os.str();
+  write_chrome_trace(os, processes);
+  return os.str();
+}
 
-  // Structural golden checks on the serialized document. Field order is
-  // stable (insertion-ordered objects), so substrings are deterministic.
-  EXPECT_NE(text.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
-  EXPECT_NE(text.find("\"generator\": \"lssim\""), std::string::npos);
-  EXPECT_NE(text.find("\"dropped_events\": 0"), std::string::npos);
-  EXPECT_NE(text.find(R"("name": "read-miss")"), std::string::npos);
-  EXPECT_NE(text.find(R"("cat": "coherence")"), std::string::npos);
-  EXPECT_NE(text.find(R"("ph": "X")"), std::string::npos);
-  EXPECT_NE(text.find(R"("ts": 100)"), std::string::npos);
-  EXPECT_NE(text.find(R"("dur": 220)"), std::string::npos);
-  EXPECT_NE(text.find(R"("block": "0x000040")"), std::string::npos);
-  EXPECT_NE(text.find(R"("name": "tag")"), std::string::npos);
-  EXPECT_NE(text.find(R"("ph": "i")"), std::string::npos);
-  EXPECT_NE(text.find(R"("s": "t")"), std::string::npos);
-  // Metadata names the process after the protocol and the threads after
-  // the nodes.
-  EXPECT_NE(text.find(R"("name": "LS")"), std::string::npos);
-  EXPECT_NE(text.find(R"("name": "node 0")"), std::string::npos);
-  EXPECT_NE(text.find(R"("name": "node 1")"), std::string::npos);
+TEST(PerfettoTest, GoldenSmallTrace) {
+  const CoherenceTrace trace = make_small_trace();
+  EXPECT_EQ(export_text({TraceProcess{"LS", &trace, nullptr}}), R"({
+ "displayTimeUnit": "ms",
+ "otherData": {
+  "generator": "lssim",
+  "time_unit": "1 cycle = 1us",
+  "dropped_events": 0
+ },
+ "traceEvents": [
+  {
+   "name": "process_name",
+   "ph": "M",
+   "pid": 0,
+   "args": {
+    "name": "LS"
+   }
+  },
+  {
+   "name": "read-miss",
+   "cat": "coherence",
+   "ph": "X",
+   "ts": 100,
+   "dur": 220,
+   "pid": 0,
+   "tid": 1,
+   "args": {
+    "block": "0x000040"
+   }
+  },
+  {
+   "name": "upgrade",
+   "cat": "coherence",
+   "ph": "X",
+   "ts": 400,
+   "dur": 250,
+   "pid": 0,
+   "tid": 0,
+   "args": {
+    "block": "0x000040"
+   }
+  },
+  {
+   "name": "tag",
+   "cat": "coherence",
+   "ph": "i",
+   "s": "t",
+   "ts": 650,
+   "pid": 0,
+   "tid": 1,
+   "args": {
+    "block": "0x000040"
+   }
+  },
+  {
+   "name": "thread_name",
+   "ph": "M",
+   "pid": 0,
+   "tid": 0,
+   "args": {
+    "name": "node 0"
+   }
+  },
+  {
+   "name": "thread_name",
+   "ph": "M",
+   "pid": 0,
+   "tid": 1,
+   "args": {
+    "name": "node 1"
+   }
+  }
+ ]
+}
+)");
+}
+
+TEST(PerfettoTest, GoldenTwoProcessesWithEventLog) {
+  const CoherenceTrace trace = make_small_trace();
+  EventLog log(8);
+  log.record(42, ProtoEventKind::kWriteback, 0x100, 2, DirState::kUncached,
+             false);
+  log.record(57, ProtoEventKind::kLocalWrite, 0x1c0, 0, DirState::kUncached,
+             true);
+  EXPECT_EQ(export_text({TraceProcess{"Baseline", &trace, nullptr},
+                         TraceProcess{"log", nullptr, &log}}),
+            R"({
+ "displayTimeUnit": "ms",
+ "otherData": {
+  "generator": "lssim",
+  "time_unit": "1 cycle = 1us",
+  "dropped_events": 0
+ },
+ "traceEvents": [
+  {
+   "name": "process_name",
+   "ph": "M",
+   "pid": 0,
+   "args": {
+    "name": "Baseline"
+   }
+  },
+  {
+   "name": "read-miss",
+   "cat": "coherence",
+   "ph": "X",
+   "ts": 100,
+   "dur": 220,
+   "pid": 0,
+   "tid": 1,
+   "args": {
+    "block": "0x000040"
+   }
+  },
+  {
+   "name": "upgrade",
+   "cat": "coherence",
+   "ph": "X",
+   "ts": 400,
+   "dur": 250,
+   "pid": 0,
+   "tid": 0,
+   "args": {
+    "block": "0x000040"
+   }
+  },
+  {
+   "name": "tag",
+   "cat": "coherence",
+   "ph": "i",
+   "s": "t",
+   "ts": 650,
+   "pid": 0,
+   "tid": 1,
+   "args": {
+    "block": "0x000040"
+   }
+  },
+  {
+   "name": "thread_name",
+   "ph": "M",
+   "pid": 0,
+   "tid": 0,
+   "args": {
+    "name": "node 0"
+   }
+  },
+  {
+   "name": "thread_name",
+   "ph": "M",
+   "pid": 0,
+   "tid": 1,
+   "args": {
+    "name": "node 1"
+   }
+  },
+  {
+   "name": "process_name",
+   "ph": "M",
+   "pid": 1,
+   "args": {
+    "name": "log"
+   }
+  },
+  {
+   "name": "writeback",
+   "cat": "coherence",
+   "ph": "i",
+   "s": "t",
+   "ts": 42,
+   "pid": 1,
+   "tid": 2,
+   "args": {
+    "block": "0x000100"
+   }
+  },
+  {
+   "name": "local-write",
+   "cat": "coherence",
+   "ph": "i",
+   "s": "t",
+   "ts": 57,
+   "pid": 1,
+   "tid": 0,
+   "args": {
+    "block": "0x0001c0"
+   }
+  },
+  {
+   "name": "thread_name",
+   "ph": "M",
+   "pid": 1,
+   "tid": 0,
+   "args": {
+    "name": "node 0"
+   }
+  },
+  {
+   "name": "thread_name",
+   "ph": "M",
+   "pid": 1,
+   "tid": 2,
+   "args": {
+    "name": "node 2"
+   }
+  }
+ ]
+}
+)");
+}
+
+TEST(PerfettoTest, GoldenEmptyTraceHasOnlyMetadata) {
+  const CoherenceTrace trace(4);
+  EXPECT_EQ(export_text({TraceProcess{"empty", &trace, nullptr}}),
+            R"({
+ "displayTimeUnit": "ms",
+ "otherData": {
+  "generator": "lssim",
+  "time_unit": "1 cycle = 1us",
+  "dropped_events": 0
+ },
+ "traceEvents": [
+  {
+   "name": "process_name",
+   "ph": "M",
+   "pid": 0,
+   "args": {
+    "name": "empty"
+   }
+  }
+ ]
+}
+)");
+}
+
+TEST(PerfettoTest, GoldenCapacityLimitedTraceCountsDrops) {
+  CoherenceTrace trace(2);
+  trace.span(3, ProtoEventKind::kWriteMiss, 0x1234540, 0, 10);
+  trace.instant(2, ProtoEventKind::kDetag, 0x40, 10);
+  trace.span(0, ProtoEventKind::kReadMiss, 0x80, 20, 30);  // Dropped.
+  trace.instant(0, ProtoEventKind::kTag, 0x80, 30);        // Dropped.
+  ASSERT_EQ(trace.dropped(), 2u);
+  EXPECT_EQ(export_text({TraceProcess{"LS+AD", &trace, nullptr}}),
+            R"({
+ "displayTimeUnit": "ms",
+ "otherData": {
+  "generator": "lssim",
+  "time_unit": "1 cycle = 1us",
+  "dropped_events": 2
+ },
+ "traceEvents": [
+  {
+   "name": "process_name",
+   "ph": "M",
+   "pid": 0,
+   "args": {
+    "name": "LS+AD"
+   }
+  },
+  {
+   "name": "write-miss",
+   "cat": "coherence",
+   "ph": "X",
+   "ts": 0,
+   "dur": 10,
+   "pid": 0,
+   "tid": 3,
+   "args": {
+    "block": "0x1234540"
+   }
+  },
+  {
+   "name": "detag",
+   "cat": "coherence",
+   "ph": "i",
+   "s": "t",
+   "ts": 10,
+   "pid": 0,
+   "tid": 2,
+   "args": {
+    "block": "0x000040"
+   }
+  },
+  {
+   "name": "thread_name",
+   "ph": "M",
+   "pid": 0,
+   "tid": 2,
+   "args": {
+    "name": "node 2"
+   }
+  },
+  {
+   "name": "thread_name",
+   "ph": "M",
+   "pid": 0,
+   "tid": 3,
+   "args": {
+    "name": "node 3"
+   }
+  }
+ ]
+}
+)");
 }
 
 TEST(PerfettoTest, ParseBackRecoversEveryField) {

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end smoke test for the observability artifacts.
 
-Runs the lssim_run driver (path via $LSSIM_RUN) with all three
-observability outputs enabled on a small five-protocol pingpong sweep,
+Runs the lssim_run driver (path via $LSSIM_RUN) with the latency,
+audit, heartbeat and Perfetto outputs enabled on a small five-protocol pingpong sweep,
 then validates every artifact with tools/check_observability.py (path
 via $CHECK_OBSERVABILITY) — the same validator the CI smoke step uses.
 Also asserts the validator actually rejects corrupted artifacts, so a
@@ -40,6 +40,7 @@ class ObservabilitySmokeTest(unittest.TestCase):
         cls.latency = os.path.join(cls.tmp.name, "latency.json")
         cls.audit = os.path.join(cls.tmp.name, "audit.jsonl")
         cls.heartbeat = os.path.join(cls.tmp.name, "heartbeat.jsonl")
+        cls.perfetto = os.path.join(cls.tmp.name, "trace.json")
         proc = subprocess.run(
             [
                 LSSIM_RUN,
@@ -49,6 +50,9 @@ class ObservabilitySmokeTest(unittest.TestCase):
                 "--audit-out", cls.audit,
                 "--heartbeat-out", cls.heartbeat,
                 "--heartbeat-interval", "0",
+                "--perfetto-out", cls.perfetto,
+                # Keeps the trace small and makes dropped_events > 0.
+                "--trace-capacity", "2048",
             ],
             capture_output=True,
             text=True,
@@ -67,12 +71,14 @@ class ObservabilitySmokeTest(unittest.TestCase):
             "--latency", self.latency,
             "--audit", self.audit,
             "--heartbeat", self.heartbeat,
+            "--perfetto", self.perfetto,
             "--protocols", PROTOCOLS,
         )
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("latency report OK", proc.stdout)
         self.assertIn("audit trail OK", proc.stdout)
         self.assertIn("heartbeat OK", proc.stdout)
+        self.assertIn("perfetto trace OK", proc.stdout)
 
     def test_heartbeat_has_one_line_per_run_plus_final(self):
         with open(self.heartbeat) as f:
@@ -117,6 +123,38 @@ class ObservabilitySmokeTest(unittest.TestCase):
         proc = run_check("--audit", bad)
         self.assertEqual(proc.returncode, 1)
         self.assertIn("retained", proc.stderr)
+
+    def corrupted_perfetto(self, mutate):
+        with open(self.perfetto) as f:
+            doc = json.load(f)
+        mutate(doc)
+        bad = os.path.join(self.tmp.name, "bad_trace.json")
+        with open(bad, "w") as f:
+            json.dump(doc, f)
+        return run_check("--perfetto", bad)
+
+    def test_validator_rejects_span_without_duration(self):
+        def drop_dur(doc):
+            span = next(e for e in doc["traceEvents"] if e["ph"] == "X")
+            del span["dur"]
+        proc = self.corrupted_perfetto(drop_dur)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("dur", proc.stderr)
+
+    def test_validator_rejects_unnamed_thread(self):
+        def drop_thread_names(doc):
+            doc["traceEvents"] = [e for e in doc["traceEvents"]
+                                  if e["name"] != "thread_name"]
+        proc = self.corrupted_perfetto(drop_thread_names)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("thread_name", proc.stderr)
+
+    def test_validator_rejects_non_integer_drop_count(self):
+        def stringify_drops(doc):
+            doc["otherData"]["dropped_events"] = "0"
+        proc = self.corrupted_perfetto(stringify_drops)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("dropped_events", proc.stderr)
 
 
 if __name__ == "__main__":

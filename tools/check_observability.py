@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Schema validator for lssim's observability artifacts.
 
-Validates the three transaction-level observability outputs
-(docs/OBSERVABILITY.md):
+Validates lssim's observability outputs (docs/OBSERVABILITY.md):
 
   * --latency-out   ownership-latency report (JSON)
   * --audit-out     tag-decision audit trail (JSONL)
   * --heartbeat-out progress heartbeats (JSONL)
+  * --perfetto-out  Chrome trace-event timeline (JSON)
 
 Used by the CI observability smoke step and the ctest wrapper
 (tests/tools/observability_smoke_test.py); exits non-zero with a
@@ -17,7 +17,8 @@ Usage:
   check_observability.py --latency FILE [--protocols A,B,...]
   check_observability.py --audit FILE [--protocols A,B,...]
   check_observability.py --heartbeat FILE
-(any combination of the three may be given in one invocation)
+  check_observability.py --perfetto FILE [--protocols A,B,...]
+(any combination may be given in one invocation)
 """
 
 import argparse
@@ -194,17 +195,90 @@ def check_heartbeat(path):
     return lines
 
 
+PERFETTO_PHASES = {"X", "i", "M"}
+
+
+def is_int(value):
+    # json.load maps true/false to bool, which is an int subclass.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_perfetto(path, protocols):
+    with open(path, "r", encoding="utf-8") as f:
+        doc = json.load(f)
+    if not isinstance(doc, dict):
+        fail("perfetto trace: top level must be an object")
+    if not isinstance(doc.get("displayTimeUnit"), str):
+        fail("perfetto trace: missing string 'displayTimeUnit'")
+    other = doc.get("otherData")
+    if not isinstance(other, dict) or not is_int(other.get("dropped_events")):
+        fail("perfetto trace: otherData needs integer 'dropped_events'")
+    events = doc.get("traceEvents")
+    if not isinstance(events, list):
+        fail("perfetto trace: 'traceEvents' must be an array")
+    used_tids = set()
+    named_tids = set()
+    process_names = []
+    for index, ev in enumerate(events):
+        where = "perfetto event %d" % index
+        if not isinstance(ev, dict):
+            fail("%s: must be an object" % where)
+        for key in ("name", "ph", "pid"):
+            if key not in ev:
+                fail("%s: missing %r" % (where, key))
+        ph = ev["ph"]
+        if ph not in PERFETTO_PHASES:
+            fail("%s: unknown ph %r" % (where, ph))
+        if not is_int(ev["pid"]):
+            fail("%s: pid must be an integer" % where)
+        if ph == "M":
+            args = ev.get("args")
+            if not isinstance(args, dict) or not isinstance(
+                    args.get("name"), str):
+                fail("%s: metadata needs a string args.name" % where)
+            if ev["name"] == "thread_name":
+                if not is_int(ev.get("tid")):
+                    fail("%s: thread_name needs an integer tid" % where)
+                named_tids.add((ev["pid"], ev["tid"]))
+            elif ev["name"] == "process_name":
+                process_names.append(args["name"])
+            continue
+        if not is_int(ev.get("ts")):
+            fail("%s: %s event needs an integer ts" % (where, ph))
+        if not is_int(ev.get("tid")):
+            fail("%s: %s event needs an integer tid" % (where, ph))
+        used_tids.add((ev["pid"], ev["tid"]))
+        if ph == "X":
+            if not is_int(ev.get("dur")):
+                fail("%s: X event needs an integer dur" % where)
+            args = ev.get("args")
+            if not isinstance(args, dict) or "block" not in args:
+                fail("%s: X event needs args.block" % where)
+    unnamed = sorted(used_tids - named_tids)
+    if unnamed:
+        fail("perfetto trace: tid %d of pid %d has no thread_name metadata"
+             % (unnamed[0][1], unnamed[0][0]))
+    for wanted in protocols:
+        if wanted not in process_names:
+            fail("perfetto trace: protocol %r missing (have: %s)"
+                 % (wanted, ", ".join(process_names)))
+    return len(events)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--latency", help="ownership-latency report (JSON)")
     parser.add_argument("--audit", help="tag-decision audit trail (JSONL)")
     parser.add_argument("--heartbeat", help="heartbeat stream (JSONL)")
+    parser.add_argument("--perfetto", help="Chrome trace-event timeline "
+                                           "(JSON)")
     parser.add_argument("--protocols", default="",
                         help="comma-separated protocol names that must "
-                             "appear in --latency/--audit")
+                             "appear in --latency/--audit/--perfetto")
     args = parser.parse_args()
-    if not (args.latency or args.audit or args.heartbeat):
-        parser.error("give at least one of --latency/--audit/--heartbeat")
+    if not (args.latency or args.audit or args.heartbeat or args.perfetto):
+        parser.error("give at least one of "
+                     "--latency/--audit/--heartbeat/--perfetto")
     protocols = [p for p in args.protocols.split(",") if p]
 
     try:
@@ -217,6 +291,9 @@ def main():
         if args.heartbeat:
             n = check_heartbeat(args.heartbeat)
             print("heartbeat OK: %d line(s)" % n)
+        if args.perfetto:
+            n = check_perfetto(args.perfetto, protocols)
+            print("perfetto trace OK: %d event(s)" % n)
     except SchemaError as ex:
         print("check_observability: %s" % ex, file=sys.stderr)
         return 1
