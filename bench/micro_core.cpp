@@ -1,7 +1,7 @@
 // Core-structure microbenchmarks (google-benchmark): throughput of the
 // simulator's hot paths — cache lookup, directory access, full protocol
-// transactions, network sends and the coroutine scheduler — and of the
-// bulk telemetry exporters.
+// transactions, network sends, the coroutine scheduler and barrier spin
+// episodes — and of the bulk telemetry exporters.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -159,6 +159,55 @@ BENCHMARK(BM_SchedulerStep)
     ->Arg(16)
     ->Arg(64)
     ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
+
+SimTask<void> barrier_episodes(System& sys, NodeId id, Barrier& barrier,
+                               int episodes) {
+  Processor& proc = sys.proc(id);
+  for (int e = 0; e < episodes; ++e) {
+    // Staggered arrivals: early arrivers spin on the sense flag while
+    // the late ones work.
+    proc.compute(100 + 400 * static_cast<Cycles>((id * 7 + e) % 8));
+    co_await barrier.wait(proc);
+  }
+}
+
+void BM_BarrierEpisode(benchmark::State& state) {
+  // Repeated Barrier::wait episodes at N nodes: mostly sense-flag spin
+  // probes, the access mix behind stencil's cost at 128 nodes. Reports
+  // simulated accesses (probes included) per host second; machine
+  // construction is untimed.
+  const int nodes = static_cast<int>(state.range(0));
+  constexpr int kEpisodes = 40;
+  MachineConfig cfg =
+      MachineConfig::scientific_default(ProtocolKind::kLs, nodes);
+  if (nodes > kFullMapNodes) {
+    cfg.directory_scheme = DirectoryKind::kLimitedPtr;
+  }
+  double accesses = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto sys = std::make_unique<System>(cfg);
+    Barrier barrier(sys->heap(), nodes);
+    for (int n = 0; n < nodes; ++n) {
+      const auto id = static_cast<NodeId>(n);
+      sys->spawn(id, barrier_episodes(*sys, id, barrier, kEpisodes));
+    }
+    state.ResumeTiming();
+    sys->run();
+    state.PauseTiming();
+    accesses += static_cast<double>(sys->stats().accesses);
+    sys.reset();
+    state.ResumeTiming();
+  }
+  state.counters["accesses_per_s"] =
+      benchmark::Counter(accesses, benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_BarrierEpisode)
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
 void BM_WordMask(benchmark::State& state) {

@@ -124,6 +124,16 @@ class Cache {
     }
   }
 
+  /// `count` touches of `block`'s line, which may since have gone.
+  void touch(Addr block, std::uint64_t count) noexcept {
+    if (lru_live_) {
+      use_clock_ += count;
+      if (CacheLine* line = find(block)) {
+        line->last_use = use_clock_;
+      }
+    }
+  }
+
   /// Host-cache warming hint for trace replay: pulls `block`'s set into
   /// the host cache ahead of the access that will probe it. No simulated
   /// effect whatsoever — purely a memory-latency optimisation for

@@ -46,6 +46,8 @@ MemorySystem::MemorySystem(const MachineConfig& config, AddressSpace& space,
     // survive a transaction (see Directory::entry).
     dir_.reserve(dir_entry_limit_);
   }
+  parked_block_.assign(static_cast<std::size_t>(config.num_nodes),
+                       kNotParked);
   caches_.reserve(static_cast<std::size_t>(config.num_nodes));
   for (int n = 0; n < config.num_nodes; ++n) {
     caches_.emplace_back(config.l1, config.l2);
@@ -214,6 +216,7 @@ HomeStateAtMiss MemorySystem::classify_home_state(Addr block,
 }
 
 void MemorySystem::invalidate_cached_copy(NodeId node, Addr block) {
+  copy_changed(node, block);
   const CacheLine removed = caches_[node].invalidate(block);
   assert(removed.valid());
   fs_.on_line_death(removed);
@@ -447,7 +450,7 @@ Cycles MemorySystem::do_read_miss(NodeId node, Addr block, Cycles now,
         t += lat_.l2_access;
         policy_->on_exclusive_grant_unused(owner,
                                            oc.l2().find(block)->grant_site);
-        oc.set_state(block, CacheState::kShared);
+        set_remote_state(owner, block, CacheState::kShared);
         apply_tag_action(policy_->on_foreign_access(e), e,
                          TagReason::kForeignAccess, block, node);
         stats_.notls_messages += 1;
@@ -492,7 +495,7 @@ Cycles MemorySystem::do_read_miss(NodeId node, Addr block, Cycles now,
                    DirtyReadResolution::kOwnerKeeps) {
           // MOESI / Dragon: the owner keeps the dirty block (Owned) and
           // supplies the data cache-to-cache; home memory stays stale.
-          oc.set_state(block, CacheState::kOwned);
+          set_remote_state(owner, block, CacheState::kOwned);
           e.state = DirState::kOwned;
           dirpol_->clear_sharers(e);
           dirpol_->add_sharer(e, node);
@@ -500,7 +503,7 @@ Cycles MemorySystem::do_read_miss(NodeId node, Addr block, Cycles now,
           t += lat_.fill;
         } else {
           // Plain read-on-dirty: 4 network hops (paper §4.2).
-          oc.set_state(block, CacheState::kShared);
+          set_remote_state(owner, block, CacheState::kShared);
           if (snoops_) {
             // The writeback and the reader's copy are one bus transfer.
             t = leg_noegress(owner, home, MsgType::kSharingWb, t);
@@ -664,8 +667,9 @@ Cycles MemorySystem::do_write_global(NodeId node, Addr block, Cycles now,
           survivors.set(s);
         }
         if (sp.l2_hit && sp.state == CacheState::kOwned) {
-          caches_[s].set_state(block, CacheState::kShared);
+          set_remote_state(s, block, CacheState::kShared);
         }
+        copy_changed(s, block);  // The update rewrites any copy's data.
         if (snoops_) {
           return;  // The bus write broadcast updated every snooper.
         }
@@ -736,6 +740,7 @@ Cycles MemorySystem::do_write_global(NodeId node, Addr block, Cycles now,
           stats_.update_transactions += 1;
           stats_.updates_sent += static_cast<std::uint64_t>(count);
           targets.for_each([&](NodeId s) {
+            copy_changed(s, block);
             if (caches_[s].probe(block).l2_hit || trust_updates_) {
               survivors.set(s);
             }
@@ -801,7 +806,7 @@ Cycles MemorySystem::do_write_global(NodeId node, Addr block, Cycles now,
           // Dragon: the previous holder keeps an updated shared copy.
           stats_.update_transactions += 1;
           stats_.updates_sent += 1;
-          caches_[owner].set_state(block, CacheState::kShared);
+          set_remote_state(owner, block, CacheState::kShared);
           fill_state = CacheState::kOwned;
           survivors.set(owner);
         } else {
@@ -835,8 +840,9 @@ Cycles MemorySystem::do_write_global(NodeId node, Addr block, Cycles now,
           stats_.update_transactions += 1;
           stats_.updates_sent +=
               static_cast<std::uint64_t>(targets.count() + 1);
-          caches_[owner].set_state(block, CacheState::kShared);
+          set_remote_state(owner, block, CacheState::kShared);
           targets.for_each([&](NodeId s) {
+            copy_changed(s, block);
             if (caches_[s].probe(block).l2_hit || trust_updates_) {
               survivors.set(s);
             }
@@ -1062,10 +1068,23 @@ AccessResult MemorySystem::access(NodeId node, const AccessRequest& req,
 }
 
 void MemorySystem::finalize() {
+  if (!fs_enabled_) {
+    return;  // on_line_death is a no-op with the classifier off.
+  }
   for (auto& ch : caches_) {
     ch.l2().for_each_valid(
         [this](const CacheLine& line) { fs_.on_line_death(line); });
   }
+}
+
+bool MemorySystem::park(NodeId node, Addr addr) {
+  const Addr block = caches_[node].l2().block_of(addr);
+  if (caches_[node].l1().find(block) == nullptr) {
+    return false;
+  }
+  parked_block_[node] = block;
+  ++parked_count_;
+  return true;
 }
 
 bool MemorySystem::check_coherence_invariants() const {

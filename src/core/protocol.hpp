@@ -125,6 +125,23 @@ class MemorySystem {
   /// classifications for lines still resident.
   void finalize();
 
+  // ---- spin parking (machine/system.hpp) ------------------------------
+  /// True when an L1 read hit only counts: fast hit path live (classifier
+  /// off, direct-mapped L2), passive policy, no checker.
+  [[nodiscard]] bool spin_parking_eligible() const noexcept {
+    return l1_fast_hit_ && !policy_observes_accesses_ && checker_ == nullptr;
+  }
+  /// Watches `node`'s L1 copy of `addr`'s block until a transaction
+  /// changes it (copy_changed); false, watching nothing, if not in L1.
+  bool park(NodeId node, Addr addr);
+  void unpark(NodeId node) noexcept {
+    parked_count_ -= parked_block_[node] != kNotParked;
+    parked_block_[node] = kNotParked;
+  }
+  [[nodiscard]] std::uint32_t parked() const noexcept { return parked_count_; }
+  /// Nodes woken (and no longer watched) since the caller last cleared it.
+  [[nodiscard]] std::vector<NodeId>& woken() noexcept { return woken_; }
+
   [[nodiscard]] const MachineConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] LoadStoreOracle& oracle() noexcept { return oracle_; }
   /// The protocol policy driving this engine's tag/grant decisions.
@@ -182,6 +199,21 @@ class MemorySystem {
 
   void handle_l2_victim(NodeId node, const CacheLine& victim, Cycles t);
   void invalidate_cached_copy(NodeId node, Addr block);
+  /// Every change a transaction makes to another node's cached copy
+  /// (invalidation, downgrade, update delivery) passes here and wakes a
+  /// node parked on it; a node without a copy is never parked on it.
+  /// One branch while nothing is parked.
+  void copy_changed(NodeId node, Addr block) {
+    if (parked_count_ != 0 && parked_block_[node] == block) {
+      unpark(node);
+      woken_.push_back(node);
+    }
+  }
+  /// A remote downgrade of `node`'s copy.
+  void set_remote_state(NodeId node, Addr block, CacheState state) {
+    caches_[node].set_state(block, state);
+    copy_changed(node, block);
+  }
 
   /// Directory entry for `block` at the start of a global transaction.
   /// Under the sparse organisation this is where the bounded population
@@ -301,6 +333,11 @@ class MemorySystem {
   HistogramHandle lat_read_miss_;
   HistogramHandle lat_write_miss_;
   HistogramHandle lat_upgrade_;
+  /// Spin parking: each node's watched block, how many, who woke.
+  static constexpr Addr kNotParked = ~Addr{0};
+  std::vector<Addr> parked_block_;
+  std::uint32_t parked_count_ = 0;
+  std::vector<NodeId> woken_;
   // Scratch: context of the in-flight access (for oracle/log hooks).
   StreamTag current_tag_ = StreamTag::kApp;
   Cycles current_time_ = 0;

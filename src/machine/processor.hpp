@@ -29,6 +29,7 @@ class Processor;
 struct MemAwait {
   Processor& proc;
   AccessRequest req;
+  bool spin = false;  ///< A Processor::spin_until probe.
 
   [[nodiscard]] bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> handle) noexcept;
@@ -87,6 +88,23 @@ class Processor {
                      site_of(loc)}};
   }
 
+  /// Re-reads `addr` (all probes at this call site) until it holds
+  /// `target`, computing between failed probes `gap_lo` cycles, or one
+  /// rng().next_range(gap_lo, gap_hi) draw when gap_hi > gap_lo. The
+  /// program resumes only at the end: System::run issues the probes, and
+  /// may account them in bulk (system.hpp, spin parking).
+  [[nodiscard]] MemAwait spin_until(
+      Addr addr, std::uint64_t target, Cycles gap_lo, Cycles gap_hi,
+      unsigned size = 4,
+      std::source_location loc = std::source_location::current()) noexcept {
+    spin_target_ = target;
+    spin_gap_lo_ = gap_lo;
+    spin_gap_hi_ = gap_hi;
+    return MemAwait{
+        *this, {MemOpKind::kRead, addr, size, 0, 0, stream_, site_of(loc)},
+        true};
+  }
+
   /// Compact hash of a source location (constant-time: the file-name
   /// pointer is stable per translation unit).
   [[nodiscard]] static std::uint32_t site_of(
@@ -117,6 +135,13 @@ class Processor {
   friend class System;
   friend struct MemAwait;
 
+  /// The compute gap after a failed spin probe.
+  Cycles spin_gap() noexcept {
+    return spin_gap_lo_ == spin_gap_hi_
+               ? spin_gap_lo_
+               : rng_.next_range(spin_gap_lo_, spin_gap_hi_);
+  }
+
   NodeId id_;
   Rng rng_;
   StreamTag stream_ = StreamTag::kApp;
@@ -130,6 +155,14 @@ class Processor {
   std::coroutine_handle<> resume_point_;
   std::uint64_t result_ = 0;
 
+  // spin_until in progress (the pending read re-issues until it returns
+  // spin_target_), and whether its probes are parked.
+  bool spinning_ = false;
+  bool parked_ = false;
+  std::uint64_t spin_target_ = 0;
+  Cycles spin_gap_lo_ = 0;
+  Cycles spin_gap_hi_ = 0;
+
   // Outstanding buffered-store completion times (processor consistency;
   // empty under sequential consistency).
   std::deque<Cycles> write_buffer_;
@@ -139,6 +172,7 @@ inline void MemAwait::await_suspend(std::coroutine_handle<> handle) noexcept {
   proc.pending_ = req;
   proc.has_pending_ = true;
   proc.resume_point_ = handle;
+  proc.spinning_ = spin;
 }
 
 inline std::uint64_t MemAwait::await_resume() const noexcept {

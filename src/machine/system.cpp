@@ -54,6 +54,9 @@ void System::spawn(NodeId node, SimTask<void> program) {
 void System::run() {
   assert(!ran_ && "System::run may only be called once");
   ran_ = true;
+  // Spin parking (system.hpp); a probe period of at least one cycle.
+  bool may_park = memory_.spin_parking_eligible() && observers_.empty() &&
+                  !timeline_.enabled() && cfg_.latency.l1_access > 0;
 
   // Start every program; each runs until its first memory access (or to
   // completion, for programs that never touch simulated memory).
@@ -68,18 +71,48 @@ void System::run() {
 
   // Issue the pending access of the processor with the earliest local
   // time (ties to the lowest node id, keeping runs deterministic).
-  while (!sched.done()) {
-    Processor* next = procs_[sched.winner()].get();
-    if (cfg_.max_cycles != 0 && next->time_ > cfg_.max_cycles) {
-      timed_out_ = true;  // Watchdog: leave remaining programs suspended.
+  while (!sched.done() || memory_.parked() != 0) {
+    if (cfg_.max_cycles != 0 && sched.winner_time() > cfg_.max_cycles) {
+      // Watchdog: leave remaining programs suspended, with every parked
+      // probe up to the limit issued.
+      timed_out_ = true;
+      for (auto& proc : procs_) {
+        if (proc->parked_) {
+          unpark(*proc, cfg_.max_cycles + 1);
+        }
+      }
       break;
     }
+    if (sched.done()) {
+      // Every live node is parked and nothing can wake them: they spin
+      // forever, as they would unparked.
+      may_park = false;
+      for (auto& proc : procs_) {
+        if (proc->parked_) {
+          unpark(*proc, proc->time_);
+          sched.update(proc->id_, proc->time_);
+        }
+      }
+      continue;
+    }
 
+    Processor* next = procs_[sched.winner()].get();
+    const Cycles now = next->time_;
     next->has_pending_ = false;
     const AccessRequest req = next->pending_;
-    const AccessResult res = memory_.access(next->id_, req, next->time_);
+    const AccessResult res = memory_.access(next->id_, req, now);
+    // Nodes whose parked copy this access changed: their probes keyed
+    // before (now, next->id_) issued first.
+    if (std::vector<NodeId>& woken = memory_.woken(); !woken.empty()) {
+      for (const NodeId id : woken) {
+        Processor& proc = *procs_[id];
+        unpark(proc, id < next->id_ ? now + 1 : now);
+        sched.update(id, proc.time_);
+      }
+      woken.clear();
+    }
     for (const AccessObserver& observer : observers_) {
-      observer(next->id_, req, next->time_, res.latency);
+      observer(next->id_, req, now, res.latency);
     }
     if (req.is_write()) {
       stats_.write_latency.record(res.latency);
@@ -92,7 +125,7 @@ void System::run() {
                  res.latency);
     }
     if (timeline_.enabled()) {
-      timeline_.observe(next->time_, stats_.accesses,
+      timeline_.observe(now, stats_.accesses,
                         stats_.messages_total(), stats_.global_read_misses,
                         stats_.global_write_actions,
                         stats_.eliminated_acquisitions);
@@ -125,10 +158,19 @@ void System::run() {
       account_access(tb, req.is_write(), res.latency, cfg_.latency.l1_access);
       next->time_ += res.latency;
     }
-    next->result_ = res.value;
-    next->resume_point_.resume();
-    sched.update(next->id_,
-                 next->has_pending_ ? next->time_ : IssueScheduler::kRetired);
+    if (next->spinning_ && res.value != next->spin_target_) {
+      // Failed spin probe: re-issue after the gap, parked if the copy
+      // stays in L1.
+      next->compute(next->spin_gap());
+      next->has_pending_ = true;
+      next->parked_ = may_park && memory_.park(next->id_, req.addr);
+    } else {
+      next->result_ = res.value;
+      next->resume_point_.resume();
+    }
+    sched.update(next->id_, next->has_pending_ && !next->parked_
+                                ? next->time_
+                                : IssueScheduler::kRetired);
   }
 
   // Fold compute-cycle busy time into the stats and flush classifiers.
@@ -142,6 +184,43 @@ void System::run() {
   }
   if (MetricsRegistry* m = telemetry_.metrics()) {
     m->set(exec_time_g_, static_cast<std::int64_t>(exec_time()));
+  }
+}
+
+void System::unpark(Processor& proc, Cycles bound) {
+  memory_.unpark(proc.id_);
+  proc.parked_ = false;
+  // Each probe is an L1 read hit (busy for its whole latency) followed by
+  // the spin gap; fixed gaps in closed form, drawn gaps one by one.
+  const Cycles l1 = cfg_.latency.l1_access;
+  std::uint64_t probes = 0;
+  if (proc.spin_gap_lo_ == proc.spin_gap_hi_) {
+    if (proc.time_ < bound) {
+      const Cycles period = l1 + proc.spin_gap_lo_;
+      probes = (bound - proc.time_ + period - 1) / period;
+      proc.time_ += probes * period;
+      proc.busy_ += probes * proc.spin_gap_lo_;
+    }
+  } else {
+    for (; proc.time_ < bound; ++probes) {
+      proc.time_ += l1;
+      proc.compute(proc.spin_gap());
+    }
+  }
+  if (probes == 0) {
+    return;
+  }
+  // As access() would count them; each probe stamps the L1 line's LRU.
+  bulk_probes_ += probes;
+  stats_.accesses += probes;
+  stats_.l1_hits += probes;
+  CacheHierarchy& ch = memory_.cache(proc.id_);
+  ch.l1().touch(ch.l2().block_of(proc.pending_.addr), probes);
+  stats_.per_proc[proc.id_].busy += probes * l1;
+  stats_.read_latency.record(l1, probes);
+  if (MetricsRegistry* m = telemetry_.metrics()) {
+    m->add(node_accesses_[proc.id_], probes);
+    m->observe(read_latency_h_, l1, probes);
   }
 }
 

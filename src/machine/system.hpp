@@ -7,6 +7,14 @@
 // pending access of the processor whose local clock is earliest, which
 // realises a sequentially consistent execution with stall-on-L2-miss
 // (paper §4.2).
+//
+// Spin parking: after a failed Processor::spin_until probe whose block
+// stays in the node's L1, run() takes the node out of the issue order
+// and the MemorySystem watches that copy. When another node's
+// transaction changes it, run() accounts in one step every probe that
+// would have issued before that transaction, then re-issues. Statistics
+// are unchanged. Parking is off with access observers, the epoch
+// timeline, or MemorySystem::spin_parking_eligible() false.
 #pragma once
 
 #include <functional>
@@ -67,6 +75,12 @@ class System {
   /// program completion.
   [[nodiscard]] bool timed_out() const noexcept { return timed_out_; }
 
+  /// Spin probes accounted in bulk while parked (also in every access
+  /// statistic).
+  [[nodiscard]] std::uint64_t bulk_probes() const noexcept {
+    return bulk_probes_;
+  }
+
   /// The attached invariant checker when config.check_invariants is on,
   /// else null. Violations accumulate there across the whole run.
   [[nodiscard]] const check::InvariantChecker* invariant_checker()
@@ -84,20 +98,18 @@ class System {
   /// time, latency). Used by the trace recorder and telemetry probes;
   /// attach before run(). Observers COMPOSE: each added observer is
   /// invoked in registration order, so a recorder and a telemetry probe
-  /// can watch the same run without silently dropping each other.
+  /// can watch the same run without silently dropping each other. Any
+  /// observer turns spin parking off: it sees every probe.
   using AccessObserver =
       std::function<void(NodeId, const AccessRequest&, Cycles, Cycles)>;
   void add_access_observer(AccessObserver observer) {
     observers_.push_back(std::move(observer));
   }
-  /// Historical name; despite "set", this has the same append-compose
-  /// semantics as add_access_observer (it never replaces observers
-  /// attached earlier).
-  void set_access_observer(AccessObserver observer) {
-    add_access_observer(std::move(observer));
-  }
 
  private:
+  /// Accounts `proc`'s parked probes issued before `bound`, then unparks.
+  void unpark(Processor& proc, Cycles bound);
+
   MachineConfig cfg_;
   Stats stats_;
   AddressSpace space_;
@@ -120,6 +132,7 @@ class System {
   GaugeHandle exec_time_g_;
   bool ran_ = false;
   bool timed_out_ = false;
+  std::uint64_t bulk_probes_ = 0;
 };
 
 }  // namespace lssim

@@ -22,16 +22,17 @@ class LatencyHistogram {
  public:
   static constexpr int kBuckets = 24;
 
-  void record(Cycles latency) noexcept {
+  /// Records `count` samples of `latency`.
+  void record(Cycles latency, std::uint64_t count = 1) noexcept {
     const int bucket =
         latency == 0
             ? 0
             : std::min(kBuckets - 1,
                        64 - 1 - std::countl_zero(
                                     static_cast<std::uint64_t>(latency)));
-    counts_[static_cast<std::size_t>(bucket)] += 1;
-    total_ += latency;
-    samples_ += 1;
+    counts_[static_cast<std::size_t>(bucket)] += count;
+    total_ += latency * count;
+    samples_ += count;
   }
 
   [[nodiscard]] std::uint64_t samples() const noexcept { return samples_; }

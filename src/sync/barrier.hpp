@@ -28,11 +28,7 @@ class Barrier {
       co_await proc.write(count_addr_, 0);
       co_await proc.write(sense_addr_, sense);
     } else {
-      for (;;) {
-        const std::uint64_t current = co_await proc.read(sense_addr_);
-        if (current == sense) break;
-        proc.compute(kSpinCycles);
-      }
+      co_await proc.spin_until(sense_addr_, sense, kSpinCycles, kSpinCycles);
     }
   }
 

@@ -46,11 +46,7 @@ class SpinLock {
     Cycles backoff = kBackoffCycles;
     for (;;) {
       // Test: spin on a (cached, shared) read until the lock looks free.
-      for (;;) {
-        const std::uint64_t held = co_await proc.read(addr_);
-        if (held == 0) break;
-        proc.compute(proc.rng().next_range(backoff, 2 * backoff));
-      }
+      co_await proc.spin_until(addr_, 0, backoff, 2 * backoff);
       // Test-and-set burst: one atomic swap == one ownership
       // acquisition; retry a few times at randomized offsets before
       // falling back to polite probing (see fairness note above).
@@ -102,11 +98,8 @@ class TicketLock {
 
   [[nodiscard]] SimTask<void> acquire(Processor& proc) const {
     const std::uint64_t my = co_await proc.fetch_add(next_addr_, 1);
-    for (;;) {
-      const std::uint64_t serving = co_await proc.read(serving_addr_);
-      if (serving == my) break;
-      proc.compute(kBackoffCycles);
-    }
+    co_await proc.spin_until(serving_addr_, my, kBackoffCycles,
+                             kBackoffCycles);
   }
 
   [[nodiscard]] SimTask<void> release(Processor& proc) const {

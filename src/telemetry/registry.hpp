@@ -67,10 +67,11 @@ struct HistogramData {
                : std::min(kBuckets - 1, 63 - std::countl_zero(value));
   }
 
-  void observe(std::uint64_t value) noexcept {
-    counts[static_cast<std::size_t>(bucket_of(value))] += 1;
-    samples += 1;
-    sum += value;
+  /// Records `count` samples of `value`.
+  void observe(std::uint64_t value, std::uint64_t count = 1) noexcept {
+    counts[static_cast<std::size_t>(bucket_of(value))] += count;
+    samples += count;
+    sum += value * count;
   }
 
   [[nodiscard]] double mean() const noexcept {
@@ -156,8 +157,9 @@ class MetricsRegistry {
   void set(GaugeHandle h, std::int64_t value) noexcept {
     gauges_[h.index] = value;
   }
-  void observe(HistogramHandle h, std::uint64_t value) noexcept {
-    histograms_[h.index].observe(value);
+  void observe(HistogramHandle h, std::uint64_t value,
+               std::uint64_t count = 1) noexcept {
+    histograms_[h.index].observe(value, count);
   }
 
   // --- inspection ------------------------------------------------------

@@ -25,11 +25,7 @@ SimTask<void> pingpong_program(System& sys,
     // turns make the counter updates genuinely migratory.
     const std::uint64_t my_turn =
         static_cast<std::uint64_t>(r) * nprocs + id;
-    for (;;) {
-      const std::uint64_t turn = co_await proc.read(ctx->turn, 8);
-      if (turn == my_turn) break;
-      proc.compute(8 + proc.rng().next_below(8));
-    }
+    co_await proc.spin_until(ctx->turn, my_turn, 8, 15, 8);
     for (int c = 0; c < p.counters; ++c) {
       // Read-modify-write: a global read followed by a write from the
       // same processor — a load-store sequence; with processors taking
