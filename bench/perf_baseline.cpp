@@ -449,9 +449,9 @@ int main(int argc, char** argv) {
   {
     const MachineConfig suite_cfg = MachineConfig::scientific_default();
     doc.emplace_back("directory",
-                     Json(directory_name(suite_cfg.directory_scheme)));
+                     Json(to_string(suite_cfg.directory_scheme)));
     doc.emplace_back("interconnect",
-                     Json(interconnect_name(suite_cfg.interconnect)));
+                     Json(to_string(suite_cfg.interconnect)));
   }
   doc.emplace_back("quick", Json(quick));
   doc.emplace_back("jobs", Json(jobs));

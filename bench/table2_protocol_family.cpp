@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
        {InterconnectKind::kNetwork, InterconnectKind::kBus}) {
     MachineConfig cfg = bench::oltp_bench_config();
     cfg.interconnect = net;
-    std::printf("\n-- %s --\n", interconnect_name(net));
+    std::printf("\n-- %s --\n", to_string(net));
     print_split(run_experiments(cfg, build, kFamily, /*seed=*/1, jobs));
   }
   std::printf(

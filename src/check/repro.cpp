@@ -5,8 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/protocol_registry.hpp"
-
 namespace lssim::check {
 namespace {
 
@@ -17,42 +15,14 @@ constexpr const char* kHeader = "lssim-repro v1";
                            std::to_string(line) + ": " + what);
 }
 
-bool parse_op(const std::string& text, MemOpKind* out) {
-  if (text == "R") {
-    *out = MemOpKind::kRead;
-  } else if (text == "W") {
-    *out = MemOpKind::kWrite;
-  } else if (text == "SWAP") {
-    *out = MemOpKind::kSwap;
-  } else if (text == "FADD") {
-    *out = MemOpKind::kFetchAdd;
-  } else if (text == "CAS") {
-    *out = MemOpKind::kCas;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
-
-const char* op_name(MemOpKind op) noexcept {
-  switch (op) {
-    case MemOpKind::kRead: return "R";
-    case MemOpKind::kWrite: return "W";
-    case MemOpKind::kSwap: return "SWAP";
-    case MemOpKind::kFetchAdd: return "FADD";
-    case MemOpKind::kCas: return "CAS";
-  }
-  return "?";
-}
 
 std::string to_string(const ReproAccess& access) {
   std::ostringstream os;
   os << "access " << static_cast<int>(access.node) << ' '
-     << op_name(access.op) << " 0x" << std::hex << access.addr << std::dec
-     << ' ' << static_cast<int>(access.size) << " 0x" << std::hex
-     << access.wdata;
+     << kReproOpNames.name(access.op) << " 0x" << std::hex << access.addr
+     << std::dec << ' ' << static_cast<int>(access.size) << " 0x"
+     << std::hex << access.wdata;
   if (access.op == MemOpKind::kCas) {
     os << " 0x" << access.expected;
   }
@@ -62,7 +32,7 @@ std::string to_string(const ReproAccess& access) {
 void save_repro(std::ostream& os, const ReproTrace& trace) {
   const MachineConfig& m = trace.machine;
   os << kHeader << "\n";
-  os << "protocol " << protocol_name(m.protocol.kind) << "\n";
+  os << "protocol " << to_string(m.protocol.kind) << "\n";
   os << "nodes " << m.num_nodes << "\n";
   os << "l1 " << m.l1.size_bytes << ' ' << m.l1.assoc << ' '
      << m.l1.block_bytes << "\n";
@@ -77,10 +47,10 @@ void save_repro(std::ostream& os, const ReproTrace& trace) {
      << (m.protocol.keep_tag_on_lone_write ? 1 : 0) << "\n";
   os << "ad_detag_on_replacement "
      << (m.protocol.ad_detag_on_replacement ? 1 : 0) << "\n";
-  os << "directory " << directory_name(m.directory_scheme) << ' '
+  os << "directory " << to_string(m.directory_scheme) << ' '
      << static_cast<int>(m.directory_pointers) << ' ' << m.directory_region
      << ' ' << m.directory_entries << "\n";
-  os << "interconnect " << interconnect_name(m.interconnect) << ' '
+  os << "interconnect " << to_string(m.interconnect) << ' '
      << to_string(m.bus_arbitration) << "\n";
   for (const ReproAccess& access : trace.accesses) {
     os << to_string(access) << "\n";
@@ -118,9 +88,9 @@ ReproTrace load_repro(std::istream& is) {
     if (key == "protocol") {
       std::string name;
       ls >> name;
-      const ProtocolInfo* info = find_protocol(name);
-      if (info == nullptr) parse_fail(line_no, "unknown protocol " + name);
-      trace.machine.protocol.kind = info->kind;
+      if (!kProtocolNames.parse(name, &trace.machine.protocol.kind)) {
+        parse_fail(line_no, "unknown protocol " + name);
+      }
     } else if (key == "nodes") {
       int n = 0;
       ls >> n;
@@ -158,7 +128,7 @@ ReproTrace load_repro(std::istream& is) {
       int pointers = 4;
       ls >> scheme >> pointers;
       DirectoryKind kind;
-      if (!directory_from_name(scheme, &kind)) {
+      if (!kDirectoryNames.parse(scheme, &kind)) {
         parse_fail(line_no, "unknown directory organisation " + scheme);
       }
       trace.machine.directory_scheme = kind;
@@ -176,14 +146,14 @@ ReproTrace load_repro(std::istream& is) {
       std::string name;
       ls >> name;
       InterconnectKind net;
-      if (!interconnect_from_name(name, &net)) {
+      if (!kInterconnectNames.parse(name, &net)) {
         parse_fail(line_no, "unknown interconnect " + name);
       }
       trace.machine.interconnect = net;
       std::string arb;
       if (ls >> arb) {
         BusArbitration a;
-        if (!bus_arbitration_from_name(arb, &a)) {
+        if (!kBusArbitrationNames.parse(arb, &a)) {
           parse_fail(line_no, "unknown bus arbitration " + arb);
         }
         trace.machine.bus_arbitration = a;
@@ -196,7 +166,9 @@ ReproTrace load_repro(std::istream& is) {
       ls >> node >> op >> std::hex >> access.addr >> std::dec >> size >>
           std::hex >> access.wdata;
       if (!ls) parse_fail(line_no, "malformed access");
-      if (!parse_op(op, &access.op)) parse_fail(line_no, "unknown op " + op);
+      if (!kReproOpNames.parse(op, &access.op)) {
+        parse_fail(line_no, "unknown op " + op);
+      }
       if (access.op == MemOpKind::kCas) {
         ls >> access.expected;
         if (!ls) parse_fail(line_no, "CAS access missing expected value");

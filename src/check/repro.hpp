@@ -41,8 +41,16 @@ struct ReproTrace {
   std::vector<ReproAccess> accesses;
 };
 
-/// Mnemonic used in the text format ("R", "W", "SWAP", "FADD", "CAS").
-[[nodiscard]] const char* op_name(MemOpKind op) noexcept;
+/// Mnemonics of the text format's access lines.
+inline constexpr NameTable<MemOpKind, 5> kReproOpNames{
+    "op",
+    {{
+        {MemOpKind::kRead, "R", ""},
+        {MemOpKind::kWrite, "W", ""},
+        {MemOpKind::kSwap, "SWAP", ""},
+        {MemOpKind::kFetchAdd, "FADD", ""},
+        {MemOpKind::kCas, "CAS", ""},
+    }}};
 
 /// Writes the versioned text format:
 ///

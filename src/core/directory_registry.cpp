@@ -31,24 +31,19 @@ std::unique_ptr<DirectoryPolicy> make_sparse(const MachineConfig& config) {
 }
 
 // THE registration site: one row per organisation, in DirectoryKind
-// order. Names come from the shared table in sim/config.hpp so that
-// parsing (directory_from_name) and printing (directory_name) stay in
-// lock-step.
+// order.
 const DirectoryInfo kRegistry[kNumDirectoryKinds] = {
-    {DirectoryKind::kFullMap, directory_name(DirectoryKind::kFullMap),
-     "exact presence bitmap, one bit per node (<= 64 nodes)",
-     &make_full_map},
-    {DirectoryKind::kLimitedPtr, directory_name(DirectoryKind::kLimitedPtr),
+    {DirectoryKind::kFullMap,
+     "exact presence bitmap, one bit per node (<= 64 nodes)", &make_full_map},
+    {DirectoryKind::kLimitedPtr,
      "Dir_iB limited pointers (--dir-pointers), broadcast on overflow",
      &make_limited_ptr},
     {DirectoryKind::kCoarseVector,
-     directory_name(DirectoryKind::kCoarseVector),
      "coarse bit-vector, one bit per --dir-region consecutive nodes",
      &make_coarse},
-    {DirectoryKind::kSparse, directory_name(DirectoryKind::kSparse),
+    {DirectoryKind::kSparse,
      "directory cache bounded to --dir-entries entries, evictions "
-     "force invalidations",
-     &make_sparse},
+     "force invalidations", &make_sparse},
 };
 
 }  // namespace
@@ -59,34 +54,6 @@ const DirectoryInfo& directory_info(DirectoryKind kind) {
   const auto index = static_cast<std::size_t>(kind);
   assert(index < std::size(kRegistry) && kRegistry[index].kind == kind);
   return kRegistry[index];
-}
-
-const DirectoryInfo* find_directory(std::string_view name) {
-  DirectoryKind kind;
-  if (!directory_from_name(name, &kind)) {
-    return nullptr;
-  }
-  return &directory_info(kind);
-}
-
-std::string registered_directory_names(const char* separator) {
-  std::string names;
-  for (const DirectoryInfo& info : kRegistry) {
-    if (!names.empty()) {
-      names += separator;
-    }
-    names += info.name;
-  }
-  return names;
-}
-
-std::vector<DirectoryKind> all_directory_kinds() {
-  std::vector<DirectoryKind> kinds;
-  kinds.reserve(std::size(kRegistry));
-  for (const DirectoryInfo& info : kRegistry) {
-    kinds.push_back(info.kind);
-  }
-  return kinds;
 }
 
 std::unique_ptr<DirectoryPolicy> make_directory_policy(

@@ -1,17 +1,11 @@
-// Name-keyed directory-organisation registry.
-//
-// The single resolution point between directory-organisation *names*
-// (CLI --directory/--directories values, manifest documents, report
-// rows) and *implementations* (DirectoryPolicy subclasses under
-// src/core/directories/). Names and aliases come from the shared
-// kDirectoryNameTable in sim/config.hpp, so printing and parsing
-// round-trip exactly; this module adds the factory per kind and a
-// one-line summary. It mirrors core/protocol_registry.hpp — the two
-// registries are the machine's two orthogonal axes (what the caches do
-// x what the home tracks).
+// Kind-keyed directory-organisation registry: the factory and one-line
+// summary of each DirectoryPolicy (src/core/directories/). Names and
+// aliases live in kDirectoryNames (sim/config.hpp). It mirrors
+// core/protocol_registry.hpp — the two registries are the machine's two
+// orthogonal axes (what the caches do x what the home tracks).
 //
 // Adding an organisation:
-//   1. add the enum value + name-table row in sim/config.hpp,
+//   1. add the enum value and its kDirectoryNames row in sim/config.hpp,
 //   2. write the DirectoryPolicy under src/core/directories/,
 //   3. add its registration row in directory_registry.cpp.
 // See docs/PROTOCOL.md, "Adding a directory organization".
@@ -19,9 +13,6 @@
 
 #include <memory>
 #include <span>
-#include <string>
-#include <string_view>
-#include <vector>
 
 #include "core/directory_policy.hpp"
 #include "sim/config.hpp"
@@ -30,7 +21,6 @@ namespace lssim {
 
 struct DirectoryInfo {
   DirectoryKind kind;
-  const char* name;     ///< Canonical name (== directory_name(kind)).
   const char* summary;  ///< One-liner for --help and docs.
   std::unique_ptr<DirectoryPolicy> (*make)(const MachineConfig& config);
 };
@@ -40,18 +30,6 @@ struct DirectoryInfo {
 
 /// Registry entry for `kind` (every kind is registered).
 [[nodiscard]] const DirectoryInfo& directory_info(DirectoryKind kind);
-
-/// Resolves a canonical name or alias (case-insensitive) to its registry
-/// entry; null when unknown.
-[[nodiscard]] const DirectoryInfo* find_directory(std::string_view name);
-
-/// Canonical names of every registered organisation, joined by
-/// `separator` — for error messages and usage text.
-[[nodiscard]] std::string registered_directory_names(
-    const char* separator = ", ");
-
-/// Every registered kind, in registry order.
-[[nodiscard]] std::vector<DirectoryKind> all_directory_kinds();
 
 /// Constructs the organisation for `config.directory_scheme`.
 [[nodiscard]] std::unique_ptr<DirectoryPolicy> make_directory_policy(

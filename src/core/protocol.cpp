@@ -1087,82 +1087,4 @@ bool MemorySystem::park(NodeId node, Addr addr) {
   return true;
 }
 
-bool MemorySystem::check_coherence_invariants() const {
-  bool ok = true;
-  dir_.for_each([&](Addr block, const DirEntry& e) {
-    int shared_copies = 0;
-    int excl_copies = 0;
-    int owned_copies = 0;
-    for (std::size_t n = 0; n < caches_.size(); ++n) {
-      const NodeId id = static_cast<NodeId>(n);
-      const ProbeResult p = caches_[n].probe(block);
-      if (!p.l2_hit) {
-        // A precise entry claims exact membership; an imprecise believed
-        // set (Dir_iB overflow, coarse regions) may cover caches that
-        // hold nothing.
-        if (e.state == DirState::kShared && !e.imprecise &&
-            dirpol_->may_be_sharer(e, id))
-          ok = false;
-        if (e.state == DirState::kOwned && !e.imprecise &&
-            (e.owner == id || dirpol_->may_be_sharer(e, id)))
-          ok = false;
-        continue;
-      }
-      switch (p.state) {
-        case CacheState::kShared:
-          ++shared_copies;
-          // Superset rule: a real holder must always be believed. Under
-          // kOwned the sharer word tracks the non-owner copies.
-          if (e.state == DirState::kShared || e.state == DirState::kOwned) {
-            if (!dirpol_->may_be_sharer(e, id)) ok = false;
-          } else {
-            ok = false;
-          }
-          break;
-        case CacheState::kModified:
-          ++excl_copies;
-          if ((e.state != DirState::kDirty && e.state != DirState::kExcl) ||
-              e.owner != id)
-            ok = false;
-          break;
-        case CacheState::kLStemp:
-          ++excl_copies;
-          if (e.state != DirState::kExcl || e.owner != id) ok = false;
-          break;
-        case CacheState::kOwned:
-          ++owned_copies;
-          if (e.state != DirState::kOwned || e.owner != id) ok = false;
-          break;
-        case CacheState::kInvalid:
-          break;
-      }
-    }
-    if (excl_copies > 1 || (excl_copies == 1 && shared_copies > 0)) ok = false;
-    // SWMR relaxation under ownership: at most one Owned copy, never
-    // alongside a Modified/LStemp copy.
-    if (owned_copies > 1 || (owned_copies == 1 && excl_copies > 0)) ok = false;
-    if (e.state == DirState::kShared && !e.imprecise &&
-        shared_copies != dirpol_->believed_sharers(e).count())
-      ok = false;
-    if ((e.state == DirState::kDirty || e.state == DirState::kExcl) &&
-        (excl_copies != 1 || owned_copies != 0))
-      ok = false;
-    if (e.state == DirState::kOwned) {
-      if (owned_copies != 1 || excl_copies != 0) ok = false;
-      if (!e.imprecise &&
-          shared_copies != dirpol_->believed_sharers(e).count())
-        ok = false;
-    }
-    if ((e.state == DirState::kShared || e.state == DirState::kUncached) &&
-        owned_copies != 0)
-      ok = false;
-    if (e.state == DirState::kUncached && (shared_copies + excl_copies) != 0)
-      ok = false;
-  });
-  for (const auto& ch : caches_) {
-    if (!ch.check_inclusion()) ok = false;
-  }
-  return ok;
-}
-
 }  // namespace lssim

@@ -180,10 +180,6 @@ class MemorySystem {
     checker_ = checker;
   }
 
-  /// Verifies directory/cache agreement (tests): sharer maps, owner
-  /// states, inclusion. Returns true when all invariants hold.
-  [[nodiscard]] bool check_coherence_invariants() const;
-
  private:
   // One protocol "leg": a message src -> dst paying one controller
   // traversal per endpoint crossing; same-node legs cost one controller

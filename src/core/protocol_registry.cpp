@@ -1,7 +1,6 @@
 #include "core/protocol_registry.hpp"
 
 #include <cassert>
-#include <vector>
 
 #include "core/policies/ad_policy.hpp"
 #include "core/policies/baseline_policy.hpp"
@@ -37,37 +36,34 @@ std::unique_ptr<CoherencePolicy> make_ils(const MachineConfig& config) {
 }
 
 // THE registration site: one row per protocol, in ProtocolKind order.
-// Names come from the shared table in sim/config.hpp so that parsing
-// (protocol_from_name) and printing (protocol_name) stay in lock-step.
 const ProtocolInfo kRegistry[kNumProtocolKinds] = {
-    {ProtocolKind::kBaseline, protocol_name(ProtocolKind::kBaseline),
+    {ProtocolKind::kBaseline,
      "DASH-like full-map write-invalidate (no load-store optimization)",
      &make_baseline},
-    {ProtocolKind::kAd, protocol_name(ProtocolKind::kAd),
+    {ProtocolKind::kAd,
      "adaptive migratory detection (Stenström et al., ISCA'93)",
      &make_from_protocol<AdPolicy>},
-    {ProtocolKind::kLs, protocol_name(ProtocolKind::kLs),
+    {ProtocolKind::kLs,
      "the paper's load-store extension (home-resident LS bit)",
      &make_from_protocol<LsPolicy>},
-    {ProtocolKind::kIls, protocol_name(ProtocolKind::kIls),
+    {ProtocolKind::kIls,
      "instruction-centric load-exclusive prediction (per-site tables)",
      &make_ils},
-    {ProtocolKind::kLsAd, protocol_name(ProtocolKind::kLsAd),
+    {ProtocolKind::kLsAd,
      "LS tagging with AD's migratory fallback (paper §6 combination)",
      &make_from_protocol<LsAdHybridPolicy>},
-    {ProtocolKind::kMesi, protocol_name(ProtocolKind::kMesi),
+    {ProtocolKind::kMesi,
      "classic MESI / Illinois (exclusive-clean cold reads, no tagging)",
      &make_simple<MesiPolicy>},
-    {ProtocolKind::kMoesi, protocol_name(ProtocolKind::kMoesi),
+    {ProtocolKind::kMoesi,
      "MESI plus Owned: dirty owner services read misses cache-to-cache",
      &make_simple<MoesiPolicy>},
-    {ProtocolKind::kDragon, protocol_name(ProtocolKind::kDragon),
+    {ProtocolKind::kDragon,
      "Dragon write-update: writes push data to surviving sharers",
      &make_simple<DragonPolicy>},
-    {ProtocolKind::kLsMesi, protocol_name(ProtocolKind::kLsMesi),
-     "the paper's LS tagging composed over a MESI base",
+    {ProtocolKind::kLsMesi, "the paper's LS tagging composed over a MESI base",
      &make_from_protocol<LsMesiPolicy>},
-    {ProtocolKind::kLsDragon, protocol_name(ProtocolKind::kLsDragon),
+    {ProtocolKind::kLsDragon,
      "LS tagging over Dragon: tagged blocks migrate instead of updating",
      &make_from_protocol<LsDragonPolicy>},
 };
@@ -80,34 +76,6 @@ const ProtocolInfo& protocol_info(ProtocolKind kind) {
   const auto index = static_cast<std::size_t>(kind);
   assert(index < std::size(kRegistry) && kRegistry[index].kind == kind);
   return kRegistry[index];
-}
-
-const ProtocolInfo* find_protocol(std::string_view name) {
-  ProtocolKind kind;
-  if (!protocol_from_name(name, &kind)) {
-    return nullptr;
-  }
-  return &protocol_info(kind);
-}
-
-std::string registered_protocol_names(const char* separator) {
-  std::string names;
-  for (const ProtocolInfo& info : kRegistry) {
-    if (!names.empty()) {
-      names += separator;
-    }
-    names += info.name;
-  }
-  return names;
-}
-
-std::vector<ProtocolKind> all_protocol_kinds() {
-  std::vector<ProtocolKind> kinds;
-  kinds.reserve(std::size(kRegistry));
-  for (const ProtocolInfo& info : kRegistry) {
-    kinds.push_back(info.kind);
-  }
-  return kinds;
 }
 
 std::unique_ptr<CoherencePolicy> make_policy(const MachineConfig& config) {

@@ -1,24 +1,16 @@
-// Name-keyed protocol registry.
-//
-// The single resolution point between protocol *names* (CLI --protocol/
-// --protocols values, manifest documents, report rows) and protocol
-// *implementations* (CoherencePolicy subclasses under src/core/policies/).
-// Names and aliases come from the shared kProtocolNameTable in
-// sim/config.hpp, so printing and parsing round-trip exactly; this
-// module adds the factory per kind and a one-line summary.
+// Kind-keyed protocol registry: the factory and one-line summary of each
+// protocol's CoherencePolicy (src/core/policies/). Names and aliases live
+// in kProtocolNames (sim/config.hpp); every name parse goes through it.
 //
 // Adding a protocol:
-//   1. add the enum value + name-table row in sim/config.hpp,
+//   1. add the enum value and its kProtocolNames row in sim/config.hpp,
 //   2. write the CoherencePolicy under src/core/policies/,
 //   3. add its registration row in protocol_registry.cpp.
-// Everything else — driver flags, workload harness, stats rows,
-// manifests, report output — resolves through this registry.
+// Driver flags, manifests, repro files and reports need nothing else.
 #pragma once
 
 #include <memory>
 #include <span>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/coherence_policy.hpp"
@@ -28,7 +20,6 @@ namespace lssim {
 
 struct ProtocolInfo {
   ProtocolKind kind;
-  const char* name;     ///< Canonical name (== protocol_name(kind)).
   const char* summary;  ///< One-liner for --help and docs.
   std::unique_ptr<CoherencePolicy> (*make)(const MachineConfig& config);
 };
@@ -39,17 +30,10 @@ struct ProtocolInfo {
 /// Registry entry for `kind` (every kind is registered).
 [[nodiscard]] const ProtocolInfo& protocol_info(ProtocolKind kind);
 
-/// Resolves a canonical name or alias (case-insensitive) to its registry
-/// entry; null when unknown.
-[[nodiscard]] const ProtocolInfo* find_protocol(std::string_view name);
-
-/// Canonical names of every registered protocol, joined by `separator` —
-/// for error messages and usage text.
-[[nodiscard]] std::string registered_protocol_names(
-    const char* separator = ", ");
-
-/// Every registered kind, in registry order (e.g. for --compare).
-[[nodiscard]] std::vector<ProtocolKind> all_protocol_kinds();
+/// Every protocol kind, in table order (e.g. for --compare).
+[[nodiscard]] inline std::vector<ProtocolKind> all_protocol_kinds() {
+  return kProtocolNames.all();
+}
 
 /// Constructs the policy for `config.protocol.kind`.
 [[nodiscard]] std::unique_ptr<CoherencePolicy> make_policy(

@@ -4,9 +4,7 @@
 #include <cctype>
 #include <cstdlib>
 
-#include "core/directory_registry.hpp"
 #include "core/protocol_registry.hpp"
-#include "driver/runner.hpp"
 
 namespace lssim {
 namespace {
@@ -47,31 +45,6 @@ bool parse_size(const std::string& text, std::uint64_t* out) {
   return true;
 }
 
-bool parse_protocol(const std::string& text, ProtocolKind* out) {
-  // Single naming table: the registry resolves canonical names and
-  // aliases case-insensitively, so parsing round-trips to_string exactly.
-  const ProtocolInfo* info = find_protocol(text);
-  if (info == nullptr) {
-    return false;
-  }
-  *out = info->kind;
-  return true;
-}
-
-bool parse_topology(const std::string& text, Topology* out) {
-  const std::string name = lower(text);
-  if (name == "crossbar" || name == "xbar" || name == "p2p") {
-    *out = Topology::kCrossbar;
-  } else if (name == "ring") {
-    *out = Topology::kRing;
-  } else if (name == "mesh" || name == "mesh2d") {
-    *out = Topology::kMesh2D;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 std::string driver_usage() {
   return "lssim_run — run one workload on the simulated CC-NUMA machine\n"
          "\n"
@@ -80,7 +53,7 @@ std::string driver_usage() {
          "                     pingpong | private | readmostly  "
          "(default pingpong)\n"
          "  --protocol P       " +
-         registered_protocol_names(" | ") +
+         kProtocolNames.joined(" | ") +
          "\n"
          "                     (default Baseline, case-insensitive)\n"
          "  --compare          run every registered protocol, normalized "
@@ -102,12 +75,12 @@ std::string driver_usage() {
 
   --protocols A,B    run several protocols (e.g. baseline,ls)
   --directory D      directory organisation: )" +
-         registered_directory_names(" | ") + R"(
+         kDirectoryNames.joined(" | ") + R"(
                      (default full-map, case-insensitive)
   --directories A,B  sweep several organisations; the driver runs the
                      full protocols x directories matrix
   --interconnect I   coherence transport: )" +
-         registered_interconnect_names(" | ") + R"(
+         kInterconnectNames.joined(" | ") + R"(
                      (default network, case-insensitive)
   --interconnects A,B
                      sweep several transports; third matrix axis
@@ -186,53 +159,56 @@ bool parse_driver_args(int argc, const char* const* argv,
     } else if (arg == "--protocol") {
       if (!need_value(i, &value)) return false;
       ProtocolKind kind;
-      if (!parse_protocol(value, &kind)) {
+      if (!kProtocolNames.parse(value, &kind)) {
         *error = "unknown protocol: " + value +
-                 " (registered: " + registered_protocol_names() + ")";
+                 " (registered: " + kProtocolNames.joined() + ")";
         return false;
       }
       options->protocols = {kind};
     } else if (arg == "--protocols") {
       if (!need_value(i, &value)) return false;
-      std::vector<ProtocolKind> kinds;
-      if (!resolve_protocol_list(value, &kinds, error)) return false;
-      options->protocols = std::move(kinds);
-    } else if (arg == "--directory") {
-      if (!need_value(i, &value)) return false;
-      const DirectoryInfo* info = find_directory(value);
-      if (info == nullptr) {
-        *error = "unknown directory organisation: " + value +
-                 " (registered: " + registered_directory_names() + ")";
+      if (!kProtocolNames.parse_list(value, "--protocols",
+                                     &options->protocols, error)) {
         return false;
       }
-      options->directories = {info->kind};
-      options->machine.directory_scheme = info->kind;
+    } else if (arg == "--directory") {
+      if (!need_value(i, &value)) return false;
+      DirectoryKind kind;
+      if (!kDirectoryNames.parse(value, &kind)) {
+        *error = "unknown directory organisation: " + value +
+                 " (registered: " + kDirectoryNames.joined() + ")";
+        return false;
+      }
+      options->directories = {kind};
+      options->machine.directory_scheme = kind;
     } else if (arg == "--directories") {
       if (!need_value(i, &value)) return false;
-      std::vector<DirectoryKind> kinds;
-      if (!resolve_directory_list(value, &kinds, error)) return false;
-      options->directories = std::move(kinds);
+      if (!kDirectoryNames.parse_list(value, "--directories",
+                                      &options->directories, error)) {
+        return false;
+      }
       options->machine.directory_scheme = options->directories.front();
     } else if (arg == "--interconnect") {
       if (!need_value(i, &value)) return false;
       InterconnectKind kind;
-      if (!interconnect_from_name(value, &kind)) {
+      if (!kInterconnectNames.parse(value, &kind)) {
         *error = "unknown interconnect: " + value +
-                 " (registered: " + registered_interconnect_names() + ")";
+                 " (registered: " + kInterconnectNames.joined() + ")";
         return false;
       }
       options->interconnects = {kind};
       options->machine.interconnect = kind;
     } else if (arg == "--interconnects") {
       if (!need_value(i, &value)) return false;
-      std::vector<InterconnectKind> kinds;
-      if (!resolve_interconnect_list(value, &kinds, error)) return false;
-      options->interconnects = std::move(kinds);
+      if (!kInterconnectNames.parse_list(value, "--interconnects",
+                                         &options->interconnects, error)) {
+        return false;
+      }
       options->machine.interconnect = options->interconnects.front();
     } else if (arg == "--bus-arb") {
       if (!need_value(i, &value)) return false;
-      if (!bus_arbitration_from_name(value,
-                                     &options->machine.bus_arbitration)) {
+      if (!kBusArbitrationNames.parse(value,
+                                      &options->machine.bus_arbitration)) {
         *error = "unknown bus arbitration (fcfs | round-robin): " + value;
         return false;
       }
@@ -368,18 +344,13 @@ bool parse_driver_args(int argc, const char* const* argv,
       options->machine.l2.block_bytes = static_cast<std::uint32_t>(bytes);
     } else if (arg == "--topology") {
       if (!need_value(i, &value)) return false;
-      if (!parse_topology(value, &options->machine.topology)) {
+      if (!kTopologyNames.parse(value, &options->machine.topology)) {
         *error = "unknown topology: " + value;
         return false;
       }
     } else if (arg == "--consistency") {
       if (!need_value(i, &value)) return false;
-      const std::string name = lower(value);
-      if (name == "sc") {
-        options->machine.consistency = ConsistencyModel::kSc;
-      } else if (name == "pc") {
-        options->machine.consistency = ConsistencyModel::kPc;
-      } else {
+      if (!kConsistencyNames.parse(value, &options->machine.consistency)) {
         *error = "unknown consistency model: " + value;
         return false;
       }
@@ -401,14 +372,7 @@ bool parse_driver_args(int argc, const char* const* argv,
       options->params[value.substr(0, eq)] = value.substr(eq + 1);
     } else if (arg == "--format") {
       if (!need_value(i, &value)) return false;
-      const std::string name = lower(value);
-      if (name == "text") {
-        options->format = OutputFormat::kText;
-      } else if (name == "csv") {
-        options->format = OutputFormat::kCsv;
-      } else if (name == "json") {
-        options->format = OutputFormat::kJson;
-      } else {
+      if (!kOutputFormatNames.parse(value, &options->format)) {
         *error = "unknown format: " + value;
         return false;
       }

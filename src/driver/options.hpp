@@ -21,6 +21,14 @@ namespace lssim {
 
 enum class OutputFormat : std::uint8_t { kText, kCsv, kJson };
 
+inline constexpr NameTable<OutputFormat, 3> kOutputFormatNames{
+    "format",
+    {{
+        {OutputFormat::kText, "text", ""},
+        {OutputFormat::kCsv, "csv", ""},
+        {OutputFormat::kJson, "json", ""},
+    }}};
+
 struct DriverOptions {
   std::string workload = "pingpong";
   std::vector<ProtocolKind> protocols{ProtocolKind::kBaseline};
@@ -97,12 +105,6 @@ bool parse_driver_args(int argc, const char* const* argv,
 
 /// "64k" -> 65536, "1m" -> 1048576, "512" -> 512. Returns false on junk.
 bool parse_size(const std::string& text, std::uint64_t* out);
-
-/// Protocol name (case-insensitive: baseline/ad/ls/ils) to enum.
-bool parse_protocol(const std::string& text, ProtocolKind* out);
-
-/// Topology name (crossbar/ring/mesh) to enum.
-bool parse_topology(const std::string& text, Topology* out);
 
 /// Usage text for --help.
 [[nodiscard]] std::string driver_usage();

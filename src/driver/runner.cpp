@@ -9,8 +9,6 @@
 #include <stdexcept>
 
 #include "check/invariants.hpp"
-#include "core/directory_registry.hpp"
-#include "core/protocol_registry.hpp"
 #include "exec/heartbeat.hpp"
 #include "exec/parallel_executor.hpp"
 #include "stats/report.hpp"
@@ -107,89 +105,6 @@ bool driver_knows_workload(const std::string& name) {
   return name == "mp3d" || name == "cholesky" || name == "lu" ||
          name == "oltp" || name == "radix" || name == "stencil" ||
          name == "pingpong" || name == "private" || name == "readmostly";
-}
-
-bool resolve_protocol_list(const std::string& csv,
-                           std::vector<ProtocolKind>* out,
-                           std::string* error) {
-  std::vector<ProtocolKind> kinds;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    std::size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) comma = csv.size();
-    const std::string name = csv.substr(start, comma - start);
-    const ProtocolInfo* info = find_protocol(name);
-    if (info == nullptr) {
-      *error = "unknown protocol '" + name + "' in --protocols " + csv +
-               " (registered: " + registered_protocol_names() + ")";
-      return false;
-    }
-    if (std::find(kinds.begin(), kinds.end(), info->kind) == kinds.end()) {
-      kinds.push_back(info->kind);
-    }
-    start = comma + 1;
-  }
-  *out = std::move(kinds);
-  return true;
-}
-
-bool resolve_directory_list(const std::string& csv,
-                            std::vector<DirectoryKind>* out,
-                            std::string* error) {
-  std::vector<DirectoryKind> kinds;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    std::size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) comma = csv.size();
-    const std::string name = csv.substr(start, comma - start);
-    const DirectoryInfo* info = find_directory(name);
-    if (info == nullptr) {
-      *error = "unknown directory organisation '" + name +
-               "' in --directories " + csv +
-               " (registered: " + registered_directory_names() + ")";
-      return false;
-    }
-    if (std::find(kinds.begin(), kinds.end(), info->kind) == kinds.end()) {
-      kinds.push_back(info->kind);
-    }
-    start = comma + 1;
-  }
-  *out = std::move(kinds);
-  return true;
-}
-
-bool resolve_interconnect_list(const std::string& csv,
-                               std::vector<InterconnectKind>* out,
-                               std::string* error) {
-  std::vector<InterconnectKind> kinds;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    std::size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) comma = csv.size();
-    const std::string name = csv.substr(start, comma - start);
-    InterconnectKind kind;
-    if (!interconnect_from_name(name, &kind)) {
-      *error = "unknown interconnect '" + name + "' in --interconnects " +
-               csv + " (registered: " + registered_interconnect_names() +
-               ")";
-      return false;
-    }
-    if (std::find(kinds.begin(), kinds.end(), kind) == kinds.end()) {
-      kinds.push_back(kind);
-    }
-    start = comma + 1;
-  }
-  *out = std::move(kinds);
-  return true;
-}
-
-std::string registered_interconnect_names(const char* sep) {
-  std::string joined;
-  for (const InterconnectNameEntry& entry : kInterconnectNameTable) {
-    if (!joined.empty()) joined += sep;
-    joined += entry.name;
-  }
-  return joined;
 }
 
 WorkloadBuilder make_driver_builder(const DriverOptions& options) {
@@ -404,11 +319,11 @@ std::string run_label(const DriverOptions& options, const RunResult& r) {
   std::string label = to_string(r.protocol);
   if (options.directories.size() > 1) {
     label += '@';
-    label += directory_name(r.directory);
+    label += to_string(r.directory);
   }
   if (options.interconnects.size() > 1) {
     label += '@';
-    label += interconnect_name(r.interconnect);
+    label += to_string(r.interconnect);
   }
   return label;
 }
@@ -501,9 +416,9 @@ bool write_driver_artifacts(const DriverOptions& options,
       Json::Object entry;
       entry.emplace_back("protocol", Json(to_string(run.result.protocol)));
       entry.emplace_back("directory",
-                         Json(directory_name(run.result.directory)));
+                         Json(to_string(run.result.directory)));
       entry.emplace_back("interconnect",
-                         Json(interconnect_name(run.result.interconnect)));
+                         Json(to_string(run.result.interconnect)));
       entry.emplace_back("metrics", snapshot_to_json(run.metrics));
       documents.emplace_back(std::move(entry));
     }
@@ -627,7 +542,7 @@ void print_csv(std::ostream& os, const std::vector<RunResult>& results) {
         "messages,read_misses,write_actions,eliminated,invalidations,"
         "false_sharing_misses,dir_entry_evictions\n";
   for (const RunResult& r : results) {
-    os << to_string(r.protocol) << ',' << directory_name(r.directory) << ','
+    os << to_string(r.protocol) << ',' << to_string(r.directory) << ','
        << r.exec_time << ',' << r.time.busy
        << ',' << r.time.read_stall << ',' << r.time.write_stall << ','
        << r.traffic_total << ',' << r.global_read_misses << ','
@@ -642,7 +557,7 @@ void print_json(std::ostream& os, const std::vector<RunResult>& results) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     const RunResult& r = results[i];
     os << "  {\"protocol\":\"" << to_string(r.protocol) << "\""
-       << ",\"directory\":\"" << directory_name(r.directory) << "\""
+       << ",\"directory\":\"" << to_string(r.directory) << "\""
        << ",\"exec_cycles\":" << r.exec_time
        << ",\"busy\":" << r.time.busy
        << ",\"read_stall\":" << r.time.read_stall

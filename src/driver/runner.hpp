@@ -19,37 +19,6 @@ class HeartbeatEmitter;  // exec/heartbeat.hpp
 /// True if `name` names a workload the driver can build.
 [[nodiscard]] bool driver_knows_workload(const std::string& name);
 
-/// Resolves a comma-separated protocol list (e.g. "baseline,LS,ls+ad")
-/// through the protocol registry. Names match case-insensitively
-/// (canonical names or aliases); duplicates are dropped, keeping the
-/// first occurrence's position. On an empty element or unknown name,
-/// returns false and sets `*error` to a message listing the registered
-/// protocol names.
-bool resolve_protocol_list(const std::string& csv,
-                           std::vector<ProtocolKind>* out,
-                           std::string* error);
-
-/// As resolve_protocol_list, for --directories: resolves a
-/// comma-separated list of directory-organisation names through the
-/// directory registry. On failure the error message lists the
-/// registered organisation names.
-bool resolve_directory_list(const std::string& csv,
-                            std::vector<DirectoryKind>* out,
-                            std::string* error);
-
-/// As resolve_protocol_list, for --interconnects: resolves a
-/// comma-separated list of transport names through the shared
-/// interconnect name table (sim/config.hpp). On failure the error
-/// message lists the registered transport names.
-bool resolve_interconnect_list(const std::string& csv,
-                               std::vector<InterconnectKind>* out,
-                               std::string* error);
-
-/// Canonical interconnect names joined by `sep`, table order — the
-/// --interconnect half of registered_protocol_names().
-[[nodiscard]] std::string registered_interconnect_names(
-    const char* sep = ", ");
-
 /// A --set value that does not parse as its parameter's type, or lies
 /// outside its range: a usage error (lssim_run exits 2), unlike an
 /// unknown workload or parameter name.

@@ -1,131 +1,8 @@
 #include "sim/config.hpp"
 
 #include <bit>
-#include <cctype>
 
 namespace lssim {
-namespace {
-
-/// Case-insensitive comparison of `text` against a NUL-terminated name.
-bool iequals(std::string_view text, const char* name) noexcept {
-  for (char c : text) {
-    if (*name == '\0' ||
-        std::tolower(static_cast<unsigned char>(c)) !=
-            std::tolower(static_cast<unsigned char>(*name))) {
-      return false;
-    }
-    ++name;
-  }
-  return *name == '\0';
-}
-
-/// Matches `text` against space-separated `aliases` (already lowercase).
-bool matches_alias(std::string_view text, const char* aliases) noexcept {
-  std::string_view rest(aliases);
-  while (!rest.empty()) {
-    const std::size_t space = rest.find(' ');
-    const std::string_view alias = rest.substr(0, space);
-    if (alias.size() == text.size()) {
-      bool equal = true;
-      for (std::size_t i = 0; i < text.size(); ++i) {
-        if (std::tolower(static_cast<unsigned char>(text[i])) != alias[i]) {
-          equal = false;
-          break;
-        }
-      }
-      if (equal) {
-        return true;
-      }
-    }
-    if (space == std::string_view::npos) {
-      break;
-    }
-    rest.remove_prefix(space + 1);
-  }
-  return false;
-}
-
-}  // namespace
-
-const char* directory_name(DirectoryKind kind) noexcept {
-  for (const DirectoryNameEntry& entry : kDirectoryNameTable) {
-    if (entry.kind == kind) {
-      return entry.name;
-    }
-  }
-  return "?";
-}
-
-bool directory_from_name(std::string_view text, DirectoryKind* out) noexcept {
-  if (text.empty()) {
-    return false;
-  }
-  for (const DirectoryNameEntry& entry : kDirectoryNameTable) {
-    if (iequals(text, entry.name) || matches_alias(text, entry.aliases)) {
-      *out = entry.kind;
-      return true;
-    }
-  }
-  return false;
-}
-
-const char* interconnect_name(InterconnectKind kind) noexcept {
-  for (const InterconnectNameEntry& entry : kInterconnectNameTable) {
-    if (entry.kind == kind) {
-      return entry.name;
-    }
-  }
-  return "?";
-}
-
-bool interconnect_from_name(std::string_view text,
-                            InterconnectKind* out) noexcept {
-  if (text.empty()) {
-    return false;
-  }
-  for (const InterconnectNameEntry& entry : kInterconnectNameTable) {
-    if (iequals(text, entry.name) || matches_alias(text, entry.aliases)) {
-      *out = entry.kind;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool bus_arbitration_from_name(std::string_view text,
-                               BusArbitration* out) noexcept {
-  if (iequals(text, "fcfs")) {
-    *out = BusArbitration::kFcfs;
-    return true;
-  }
-  if (iequals(text, "round-robin") || iequals(text, "rr")) {
-    *out = BusArbitration::kRoundRobin;
-    return true;
-  }
-  return false;
-}
-
-const char* protocol_name(ProtocolKind kind) noexcept {
-  for (const ProtocolNameEntry& entry : kProtocolNameTable) {
-    if (entry.kind == kind) {
-      return entry.name;
-    }
-  }
-  return "?";
-}
-
-bool protocol_from_name(std::string_view text, ProtocolKind* out) noexcept {
-  if (text.empty()) {
-    return false;
-  }
-  for (const ProtocolNameEntry& entry : kProtocolNameTable) {
-    if (iequals(text, entry.name) || matches_alias(text, entry.aliases)) {
-      *out = entry.kind;
-      return true;
-    }
-  }
-  return false;
-}
 
 MachineConfig MachineConfig::scientific_default(ProtocolKind kind,
                                                 int nodes) {

@@ -4,8 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <string_view>
 
+#include "sim/name_table.hpp"
 #include "sim/types.hpp"
 
 namespace lssim {
@@ -52,40 +52,25 @@ enum class ProtocolKind : std::uint8_t {
 
 inline constexpr int kNumProtocolKinds = 10;
 
-/// One row of the protocol-name table: the canonical name (printed by
-/// reports, manifests and to_string) plus the lowercase aliases the CLI
-/// accepts. This is THE naming table: the protocol registry, the driver's
-/// --protocol(s) parsing and the manifest reader all resolve through it,
-/// so names round-trip exactly and adding a protocol means adding one row
-/// here plus one registration in core/protocol_registry.cpp.
-struct ProtocolNameEntry {
-  ProtocolKind kind;
-  const char* name;     ///< Canonical, e.g. "LS+AD".
-  const char* aliases;  ///< Space-separated lowercase extras ("" = none).
-};
+/// The protocol names. Adding a protocol means one row here plus one
+/// registration in core/protocol_registry.cpp.
+inline constexpr NameTable<ProtocolKind, kNumProtocolKinds> kProtocolNames{
+    "protocol",
+    {{
+        {ProtocolKind::kBaseline, "Baseline", "base wi"},
+        {ProtocolKind::kAd, "AD", "migratory"},
+        {ProtocolKind::kLs, "LS", ""},
+        {ProtocolKind::kIls, "ILS", "instruction"},
+        {ProtocolKind::kLsAd, "LS+AD", "lsad ls-ad hybrid"},
+        {ProtocolKind::kMesi, "MESI", "illinois"},
+        {ProtocolKind::kMoesi, "MOESI", "owned"},
+        {ProtocolKind::kDragon, "Dragon", "update write-update"},
+        {ProtocolKind::kLsMesi, "LS+MESI", "lsmesi ls-mesi"},
+        {ProtocolKind::kLsDragon, "LS+Dragon", "lsdragon ls-dragon"},
+    }}};
 
-inline constexpr ProtocolNameEntry kProtocolNameTable[kNumProtocolKinds] = {
-    {ProtocolKind::kBaseline, "Baseline", "base wi"},
-    {ProtocolKind::kAd, "AD", "migratory"},
-    {ProtocolKind::kLs, "LS", ""},
-    {ProtocolKind::kIls, "ILS", "instruction"},
-    {ProtocolKind::kLsAd, "LS+AD", "lsad ls-ad hybrid"},
-    {ProtocolKind::kMesi, "MESI", "illinois"},
-    {ProtocolKind::kMoesi, "MOESI", "owned"},
-    {ProtocolKind::kDragon, "Dragon", "update write-update"},
-    {ProtocolKind::kLsMesi, "LS+MESI", "lsmesi ls-mesi"},
-    {ProtocolKind::kLsDragon, "LS+Dragon", "lsdragon ls-dragon"},
-};
-
-/// Canonical display name of `kind` (the table's `name` column).
-[[nodiscard]] const char* protocol_name(ProtocolKind kind) noexcept;
-
-/// Inverse of protocol_name: resolves a canonical name or alias
-/// (case-insensitive) back to the kind. Returns false on unknown names.
-bool protocol_from_name(std::string_view text, ProtocolKind* out) noexcept;
-
-[[nodiscard]] inline const char* to_string(ProtocolKind kind) noexcept {
-  return protocol_name(kind);
+[[nodiscard]] constexpr const char* to_string(ProtocolKind kind) noexcept {
+  return kProtocolNames.name(kind);
 }
 
 /// Geometry of one cache level. Sizes in bytes; direct-mapped is assoc 1.
@@ -182,34 +167,21 @@ enum class DirectoryKind : std::uint8_t {
 
 inline constexpr int kNumDirectoryKinds = 4;
 
-/// One row of the directory-name table — the directory registry's
-/// equivalent of kProtocolNameTable above, and the same contract: the
-/// registry, the driver's --directory/--directories parsing, repro files
-/// and the manifest reader all resolve through it. Adding an
-/// organisation means adding one row here plus one registration in
-/// core/directory_registry.cpp.
-struct DirectoryNameEntry {
-  DirectoryKind kind;
-  const char* name;     ///< Canonical, e.g. "full-map".
-  const char* aliases;  ///< Space-separated lowercase extras ("" = none).
-};
+/// The directory-organisation names. Adding an organisation means one
+/// row here plus one registration in core/directory_registry.cpp.
+inline constexpr NameTable<DirectoryKind, kNumDirectoryKinds>
+    kDirectoryNames{
+        "directory organisation",
+        {{
+            {DirectoryKind::kFullMap, "full-map", "fullmap full"},
+            {DirectoryKind::kLimitedPtr, "limited-ptr",
+             "limited dir-ib dirib"},
+            {DirectoryKind::kCoarseVector, "coarse", "coarse-vector region"},
+            {DirectoryKind::kSparse, "sparse", "directory-cache dir-cache"},
+        }}};
 
-inline constexpr DirectoryNameEntry kDirectoryNameTable[kNumDirectoryKinds] = {
-    {DirectoryKind::kFullMap, "full-map", "fullmap full"},
-    {DirectoryKind::kLimitedPtr, "limited-ptr", "limited dir-ib dirib"},
-    {DirectoryKind::kCoarseVector, "coarse", "coarse-vector region"},
-    {DirectoryKind::kSparse, "sparse", "directory-cache dir-cache"},
-};
-
-/// Canonical display name of `kind` (the table's `name` column).
-[[nodiscard]] const char* directory_name(DirectoryKind kind) noexcept;
-
-/// Inverse of directory_name: resolves a canonical name or alias
-/// (case-insensitive) back to the kind. Returns false on unknown names.
-bool directory_from_name(std::string_view text, DirectoryKind* out) noexcept;
-
-[[nodiscard]] inline const char* to_string(DirectoryKind kind) noexcept {
-  return directory_name(kind);
+[[nodiscard]] constexpr const char* to_string(DirectoryKind kind) noexcept {
+  return kDirectoryNames.name(kind);
 }
 
 /// Interconnection topology (paper baseline: fixed-delay point-to-point,
@@ -217,13 +189,16 @@ bool directory_from_name(std::string_view text, DirectoryKind* out) noexcept;
 /// studies — see net/network.hpp).
 enum class Topology : std::uint8_t { kCrossbar, kRing, kMesh2D };
 
+inline constexpr NameTable<Topology, 3> kTopologyNames{
+    "topology",
+    {{
+        {Topology::kCrossbar, "crossbar", "xbar p2p"},
+        {Topology::kRing, "ring", ""},
+        {Topology::kMesh2D, "mesh2d", "mesh"},
+    }}};
+
 [[nodiscard]] constexpr const char* to_string(Topology t) noexcept {
-  switch (t) {
-    case Topology::kCrossbar: return "crossbar";
-    case Topology::kRing: return "ring";
-    case Topology::kMesh2D: return "mesh2d";
-  }
-  return "?";
+  return kTopologyNames.name(t);
 }
 
 /// Coherence transport under the transaction engine. Each kind is backed
@@ -246,46 +221,30 @@ inline constexpr int kNumInterconnectKinds = 2;
 ///                 rotation from the last grantee to the requester.
 enum class BusArbitration : std::uint8_t { kFcfs, kRoundRobin };
 
-/// One row of the interconnect-name table — same contract as
-/// kProtocolNameTable / kDirectoryNameTable above: the driver's
-/// --interconnect(s) parsing, repro files and the manifest reader all
-/// resolve through it.
-struct InterconnectNameEntry {
-  InterconnectKind kind;
-  const char* name;     ///< Canonical, e.g. "network".
-  const char* aliases;  ///< Space-separated lowercase extras ("" = none).
-};
+/// The transport names. Adding one means a row here plus a case in
+/// make_interconnect() (net/snoop_bus.cpp).
+inline constexpr NameTable<InterconnectKind, kNumInterconnectKinds>
+    kInterconnectNames{
+        "interconnect",
+        {{
+            {InterconnectKind::kNetwork, "network", "directory dir net"},
+            {InterconnectKind::kBus, "bus", "snooping snoop shared-bus"},
+        }}};
 
-inline constexpr InterconnectNameEntry
-    kInterconnectNameTable[kNumInterconnectKinds] = {
-        {InterconnectKind::kNetwork, "network", "directory dir net"},
-        {InterconnectKind::kBus, "bus", "snooping snoop shared-bus"},
-};
-
-/// Canonical display name of `kind` (the table's `name` column).
-[[nodiscard]] const char* interconnect_name(InterconnectKind kind) noexcept;
-
-/// Inverse of interconnect_name: resolves a canonical name or alias
-/// (case-insensitive) back to the kind. Returns false on unknown names.
-bool interconnect_from_name(std::string_view text,
-                            InterconnectKind* out) noexcept;
-
-[[nodiscard]] inline const char* to_string(InterconnectKind kind) noexcept {
-  return interconnect_name(kind);
+[[nodiscard]] constexpr const char* to_string(InterconnectKind kind) noexcept {
+  return kInterconnectNames.name(kind);
 }
+
+inline constexpr NameTable<BusArbitration, 2> kBusArbitrationNames{
+    "bus arbitration",
+    {{
+        {BusArbitration::kFcfs, "fcfs", ""},
+        {BusArbitration::kRoundRobin, "round-robin", "rr"},
+    }}};
 
 [[nodiscard]] constexpr const char* to_string(BusArbitration a) noexcept {
-  switch (a) {
-    case BusArbitration::kFcfs: return "fcfs";
-    case BusArbitration::kRoundRobin: return "round-robin";
-  }
-  return "?";
+  return kBusArbitrationNames.name(a);
 }
-
-/// Resolves "fcfs" / "round-robin" (alias "rr", case-insensitive) back
-/// to the discipline. Returns false on unknown names.
-bool bus_arbitration_from_name(std::string_view text,
-                               BusArbitration* out) noexcept;
 
 /// Memory consistency model (paper §6 discussion).
 ///   kSc — sequential consistency: the processor stalls for the full
@@ -297,12 +256,15 @@ bool bus_arbitration_from_name(std::string_view text,
 ///         while the traffic benefit stays.
 enum class ConsistencyModel : std::uint8_t { kSc, kPc };
 
+inline constexpr NameTable<ConsistencyModel, 2> kConsistencyNames{
+    "consistency model",
+    {{
+        {ConsistencyModel::kSc, "SC", ""},
+        {ConsistencyModel::kPc, "PC", ""},
+    }}};
+
 [[nodiscard]] constexpr const char* to_string(ConsistencyModel m) noexcept {
-  switch (m) {
-    case ConsistencyModel::kSc: return "SC";
-    case ConsistencyModel::kPc: return "PC";
-  }
-  return "?";
+  return kConsistencyNames.name(m);
 }
 
 /// Observability knobs (see src/telemetry/). Both default off; a disabled

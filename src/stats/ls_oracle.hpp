@@ -31,6 +31,8 @@ struct LsOracleCounters {
   std::uint64_t eliminated_ls = 0;
   std::uint64_t eliminated_migratory = 0;
 
+  bool operator==(const LsOracleCounters&) const = default;
+
   LsOracleCounters& operator+=(const LsOracleCounters& other) noexcept {
     global_writes += other.global_writes;
     ls_writes += other.ls_writes;

@@ -106,7 +106,7 @@ void print_behavior_figure(std::ostream& os, const std::string& name,
   }
   if (nondefault_dir) {
     os << "-- directory:";
-    for (const auto& r : results) os << ' ' << directory_name(r.directory);
+    for (const auto& r : results) os << ' ' << to_string(r.directory);
     os << " --\n";
   }
   os << "-- Normalized execution time (Baseline total = 100) --\n";

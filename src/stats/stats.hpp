@@ -22,6 +22,7 @@ struct TimeBreakdown {
   [[nodiscard]] Cycles total() const noexcept {
     return busy + read_stall + write_stall;
   }
+  bool operator==(const TimeBreakdown&) const = default;
   TimeBreakdown& operator+=(const TimeBreakdown& other) noexcept {
     busy += other.busy;
     read_stall += other.read_stall;

@@ -12,11 +12,11 @@ std::string unit_label(const SweepUnit& unit) {
   const MachineConfig& m = unit.machine;
   std::string label = unit.workload;
   label += '/';
-  label += protocol_name(m.protocol.kind);
+  label += to_string(m.protocol.kind);
   label += '/';
-  label += directory_name(m.directory_scheme);
+  label += to_string(m.directory_scheme);
   label += '/';
-  label += interconnect_name(m.interconnect);
+  label += to_string(m.interconnect);
   label += "/n" + std::to_string(m.num_nodes);
   label += "/l1=" + std::to_string(m.l1.size_bytes);
   label += "/l2=" + std::to_string(m.l2.size_bytes);

@@ -43,12 +43,13 @@ bool parse_line(const std::string& line, std::uint32_t* schema_version,
   const std::string kind_name =
       (kind != nullptr && kind->is_string()) ? kind->as_string() : "";
   if (kind_name == "header") {
-    const Json* version = doc.find("schema_version");
-    if (version == nullptr || !version->is_number()) {
+    if (doc.find("schema_version") == nullptr) {
       if (error != nullptr) *error = "store header has no schema_version";
       return false;
     }
-    *schema_version = static_cast<std::uint32_t>(version->as_uint());
+    if (!doc.read_uint("schema_version", schema_version, error)) {
+      return false;
+    }
     if (*schema_version > ResultsStore::kSchemaVersion) {
       if (error != nullptr) {
         *error = "store schema_version " + std::to_string(*schema_version) +
@@ -118,21 +119,13 @@ bool sweep_record_from_json(const Json& json, SweepRecord* out,
       out->params.emplace_back(k, v.as_string());
     }
   }
-  const Json* seed = json.find("seed");
-  if (seed != nullptr && seed->is_number()) out->seed = seed->as_uint();
-  if (const Json* nodes = json.find("nodes");
-      nodes != nullptr && nodes->is_number()) {
-    out->nodes = static_cast<int>(nodes->as_uint());
+  if (!json.read_uint("seed", &out->seed, error) ||
+      !json.read_uint("nodes", &out->nodes, error) ||
+      !json.read_uint("l1_bytes", &out->l1_bytes, error) ||
+      !json.read_uint("l2_bytes", &out->l2_bytes, error) ||
+      !json.read_uint("block_bytes", &out->block_bytes, error)) {
+    return false;
   }
-  const auto read_u32 = [&json](const char* key, std::uint32_t* field) {
-    const Json* v = json.find(key);
-    if (v != nullptr && v->is_number()) {
-      *field = static_cast<std::uint32_t>(v->as_uint());
-    }
-  };
-  read_u32("l1_bytes", &out->l1_bytes);
-  read_u32("l2_bytes", &out->l2_bytes);
-  read_u32("block_bytes", &out->block_bytes);
   if (const Json* wall = json.find("wall_seconds");
       wall != nullptr && wall->is_number()) {
     out->wall_seconds = wall->as_double();

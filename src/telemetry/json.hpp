@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -76,10 +77,31 @@ class Json {
   }
 
   [[nodiscard]] bool as_bool() const noexcept { return bool_; }
+  /// The value as an unsigned integer: negative and NaN read as 0, a
+  /// double at or above 2^64 as the maximum, a fraction truncates. Input
+  /// readers use to_uint, which rejects all of those instead.
   [[nodiscard]] std::uint64_t as_uint() const noexcept {
-    return type_ == Type::kUint ? uint_
-                                : static_cast<std::uint64_t>(num_ < 0 ? 0
-                                                                      : num_);
+    if (type_ == Type::kUint) return uint_;
+    if (!(num_ > 0)) return 0;
+    return num_ < kTwoTo64 ? static_cast<std::uint64_t>(num_)
+                           : std::numeric_limits<std::uint64_t>::max();
+  }
+  /// Checked integer read: true and `*out` set when the value is an
+  /// integral number in [0, max]; false for anything else (non-numbers,
+  /// fractions, negatives, values above `max`).
+  bool to_uint(std::uint64_t max, std::uint64_t* out) const noexcept {
+    if (type_ == Type::kUint) {
+      if (uint_ > max) return false;
+      *out = uint_;
+      return true;
+    }
+    if (type_ != Type::kNumber || !(num_ >= 0) || !(num_ < kTwoTo64) ||
+        static_cast<double>(static_cast<std::uint64_t>(num_)) != num_ ||
+        static_cast<std::uint64_t>(num_) > max) {
+      return false;
+    }
+    *out = static_cast<std::uint64_t>(num_);
+    return true;
   }
   [[nodiscard]] double as_double() const noexcept {
     return type_ == Type::kUint ? static_cast<double>(uint_) : num_;
@@ -97,6 +119,35 @@ class Json {
       if (k == key) return &v;
     }
     return nullptr;
+  }
+
+  /// The one checked integer read for loaded documents: member `key`,
+  /// when present, must be an integral number that fits T; it is stored
+  /// in `*out`. An absent member leaves `*out` untouched (older documents
+  /// lack newer fields). On a bad value returns false and sets `*error`
+  /// to a message naming `key`.
+  template <typename T>
+  bool read_uint(std::string_view key, T* out, std::string* error) const {
+    const Json* v = find(key);
+    if (v == nullptr) return true;
+    return v->read_uint_value(key, out, error);
+  }
+  /// As read_uint, for this value itself (an array element, say);
+  /// `key` only names it in the message.
+  template <typename T>
+  bool read_uint_value(std::string_view key, T* out,
+                       std::string* error) const {
+    const auto max = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+    std::uint64_t value = 0;
+    if (!to_uint(max, &value)) {
+      if (error != nullptr) {
+        *error = "field '" + std::string(key) +
+                 "' must be a whole number from 0 to " + std::to_string(max);
+      }
+      return false;
+    }
+    *out = static_cast<T>(value);
+    return true;
   }
 
   /// Appends a member to an object value (or turns a null into an object).
@@ -118,6 +169,8 @@ class Json {
   static Json parse(std::string_view text, std::string* error);
 
  private:
+  static constexpr double kTwoTo64 = 18446744073709551616.0;
+
   Type type_ = Type::kNull;
   bool bool_ = false;
   std::uint64_t uint_ = 0;

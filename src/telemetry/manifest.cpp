@@ -3,56 +3,24 @@
 #include <utility>
 
 #include "telemetry/latency_report.hpp"
+#include "workloads/result_fields.hpp"
 
 namespace lssim {
 namespace {
 
-bool topology_from_string(const std::string& name, Topology* out) {
-  if (name == "crossbar") {
-    *out = Topology::kCrossbar;
-  } else if (name == "ring") {
-    *out = Topology::kRing;
-  } else if (name == "mesh2d") {
-    *out = Topology::kMesh2D;
-  } else {
-    return false;
-  }
-  return true;
+/// Splits a field key "group.member" into its two parts; a top-level
+/// key has an empty member.
+std::pair<std::string_view, std::string_view> split_key(
+    std::string_view key) {
+  const std::size_t dot = key.find('.');
+  if (dot == std::string_view::npos) return {key, {}};
+  return {key.substr(0, dot), key.substr(dot + 1)};
 }
 
-bool consistency_from_string(const std::string& name, ConsistencyModel* out) {
-  if (name == "SC") {
-    *out = ConsistencyModel::kSc;
-  } else if (name == "PC") {
-    *out = ConsistencyModel::kPc;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-/// Reads object member `key` as an unsigned integer into `*out`; leaves
-/// `*out` untouched (schema-addition tolerance) when the member is absent.
-bool read_u64(const Json& obj, const char* key, std::uint64_t* out,
-              std::string* error) {
-  const Json* v = obj.find(key);
-  if (v == nullptr) return true;
-  if (!v->is_number()) {
-    if (error != nullptr) *error = std::string("field '") + key +
-                                   "' must be a number";
-    return false;
-  }
-  *out = v->as_uint();
-  return true;
-}
-
-template <typename T>
-bool read_uint_as(const Json& obj, const char* key, T* out,
-                  std::string* error) {
-  std::uint64_t v = *out;
-  if (!read_u64(obj, key, &v, error)) return false;
-  *out = static_cast<T>(v);
-  return true;
+/// True when a key's member part is an array index ("read_miss_home.2").
+bool is_index(std::string_view member) {
+  return !member.empty() &&
+         member.find_first_not_of("0123456789") == std::string_view::npos;
 }
 
 Json cache_config_to_json(const CacheConfig& cache) {
@@ -69,14 +37,14 @@ bool cache_config_from_json(const Json& json, CacheConfig* out,
     if (error != nullptr) *error = "cache config must be an object";
     return false;
   }
-  return read_uint_as(json, "size_bytes", &out->size_bytes, error) &&
-         read_uint_as(json, "assoc", &out->assoc, error) &&
-         read_uint_as(json, "block_bytes", &out->block_bytes, error);
+  return json.read_uint("size_bytes", &out->size_bytes, error) &&
+         json.read_uint("assoc", &out->assoc, error) &&
+         json.read_uint("block_bytes", &out->block_bytes, error);
 }
 
 Json machine_to_json(const MachineConfig& machine) {
   Json::Object o;
-  o.emplace_back("protocol", Json(protocol_name(machine.protocol.kind)));
+  o.emplace_back("protocol", Json(to_string(machine.protocol.kind)));
   o.emplace_back("num_nodes", Json(machine.num_nodes));
   o.emplace_back("page_bytes", Json(machine.page_bytes));
   o.emplace_back("l1", cache_config_to_json(machine.l1));
@@ -86,7 +54,7 @@ Json machine_to_json(const MachineConfig& machine) {
   // Schema version 3: "directory" is the registry name of the directory
   // organisation, followed by the knob relevant to it (absent knobs mean
   // "default / not applicable").
-  o.emplace_back("directory", Json(directory_name(machine.directory_scheme)));
+  o.emplace_back("directory", Json(to_string(machine.directory_scheme)));
   switch (machine.directory_scheme) {
     case DirectoryKind::kFullMap:
       break;
@@ -103,7 +71,7 @@ Json machine_to_json(const MachineConfig& machine) {
   // Pure addition (schema version kept): the coherence transport, with
   // the arbitration knob only where it applies — mirroring the
   // directory-knob pattern above.
-  o.emplace_back("interconnect", Json(interconnect_name(machine.interconnect)));
+  o.emplace_back("interconnect", Json(to_string(machine.interconnect)));
   if (machine.interconnect == InterconnectKind::kBus) {
     o.emplace_back("bus_arbitration",
                    Json(to_string(machine.bus_arbitration)));
@@ -123,14 +91,14 @@ bool machine_from_json(const Json& json, MachineConfig* out,
   // Absent in schema-version-1 documents; parsed by registry name since 2.
   if (const Json* proto = json.find("protocol"); proto != nullptr) {
     if (!proto->is_string() ||
-        !protocol_from_name(proto->as_string(), &out->protocol.kind)) {
+        !kProtocolNames.parse(proto->as_string(), &out->protocol.kind)) {
       return fail("unknown protocol name in machine config");
     }
   }
-  std::uint64_t nodes = static_cast<std::uint64_t>(out->num_nodes);
-  if (!read_u64(json, "num_nodes", &nodes, error)) return false;
-  out->num_nodes = static_cast<int>(nodes);
-  if (!read_uint_as(json, "page_bytes", &out->page_bytes, error)) return false;
+  if (!json.read_uint("num_nodes", &out->num_nodes, error) ||
+      !json.read_uint("page_bytes", &out->page_bytes, error)) {
+    return false;
+  }
   if (const Json* l1 = json.find("l1"); l1 != nullptr) {
     if (!cache_config_from_json(*l1, &out->l1, error)) return false;
   }
@@ -139,13 +107,13 @@ bool machine_from_json(const Json& json, MachineConfig* out,
   }
   if (const Json* topo = json.find("topology"); topo != nullptr) {
     if (!topo->is_string() ||
-        !topology_from_string(topo->as_string(), &out->topology)) {
+        !kTopologyNames.parse(topo->as_string(), &out->topology)) {
       return fail("unknown topology");
     }
   }
   if (const Json* cons = json.find("consistency"); cons != nullptr) {
     if (!cons->is_string() ||
-        !consistency_from_string(cons->as_string(), &out->consistency)) {
+        !kConsistencyNames.parse(cons->as_string(), &out->consistency)) {
       return fail("unknown consistency model");
     }
   }
@@ -153,30 +121,28 @@ bool machine_from_json(const Json& json, MachineConfig* out,
   // field but it was never parsed; the same names resolve either way).
   if (const Json* dir = json.find("directory"); dir != nullptr) {
     if (!dir->is_string() ||
-        !directory_from_name(dir->as_string(), &out->directory_scheme)) {
+        !kDirectoryNames.parse(dir->as_string(), &out->directory_scheme)) {
       return fail("unknown directory organisation in machine config");
     }
   }
-  if (!read_uint_as(json, "directory_pointers", &out->directory_pointers,
-                    error) ||
-      !read_uint_as(json, "directory_region", &out->directory_region,
-                    error) ||
-      !read_uint_as(json, "directory_entries", &out->directory_entries,
-                    error)) {
+  if (!json.read_uint("directory_pointers", &out->directory_pointers,
+                      error) ||
+      !json.read_uint("directory_region", &out->directory_region, error) ||
+      !json.read_uint("directory_entries", &out->directory_entries, error)) {
     return false;
   }
   // Absent in pre-interconnect-seam documents (implies the directory
   // network).
   if (const Json* net = json.find("interconnect"); net != nullptr) {
     if (!net->is_string() ||
-        !interconnect_from_name(net->as_string(), &out->interconnect)) {
+        !kInterconnectNames.parse(net->as_string(), &out->interconnect)) {
       return fail("unknown interconnect in machine config");
     }
   }
   if (const Json* arb = json.find("bus_arbitration"); arb != nullptr) {
     if (!arb->is_string() ||
-        !bus_arbitration_from_name(arb->as_string(),
-                                   &out->bus_arbitration)) {
+        !kBusArbitrationNames.parse(arb->as_string(),
+                                    &out->bus_arbitration)) {
       return fail("unknown bus arbitration in machine config");
     }
   }
@@ -191,46 +157,27 @@ bool machine_from_json(const Json& json, MachineConfig* out,
 
 Json run_result_to_json(const RunResult& result) {
   Json::Object o;
-  o.emplace_back("protocol", Json(to_string(result.protocol)));
-  o.emplace_back("directory", Json(to_string(result.directory)));
-  o.emplace_back("interconnect", Json(to_string(result.interconnect)));
-  o.emplace_back("exec_cycles", Json(result.exec_time));
-  Json::Object time;
-  time.emplace_back("busy", Json(result.time.busy));
-  time.emplace_back("read_stall", Json(result.time.read_stall));
-  time.emplace_back("write_stall", Json(result.time.write_stall));
-  o.emplace_back("time", Json(std::move(time)));
-  Json::Object traffic;
-  for (int c = 0; c < kNumMsgClasses; ++c) {
-    traffic.emplace_back(to_string(static_cast<MsgClass>(c)),
-                         Json(result.traffic[static_cast<std::size_t>(c)]));
+  for (const RunResultField& field : kRunResultFields) {
+    if (!field.in_manifest) continue;
+    const std::uint64_t v = field.get(result);
+    Json value = field.name != nullptr ? Json(field.name(v)) : Json(v);
+    const auto [group, member] = split_key(field.key);
+    if (member.empty()) {
+      o.emplace_back(std::string(group), std::move(value));
+      continue;
+    }
+    if (o.empty() || o.back().first != group) {
+      o.emplace_back(std::string(group), is_index(member)
+                                             ? Json(Json::Array{})
+                                             : Json(Json::Object{}));
+    }
+    Json& holder = o.back().second;
+    if (holder.is_array()) {
+      holder.as_array().push_back(std::move(value));
+    } else {
+      holder.set(std::string(member), std::move(value));
+    }
   }
-  traffic.emplace_back("total", Json(result.traffic_total));
-  o.emplace_back("traffic", Json(std::move(traffic)));
-  Json::Array home;
-  for (int s = 0; s < kNumHomeStates; ++s) {
-    home.emplace_back(result.read_miss_home[static_cast<std::size_t>(s)]);
-  }
-  o.emplace_back("read_miss_home", Json(std::move(home)));
-  o.emplace_back("global_read_misses", Json(result.global_read_misses));
-  o.emplace_back("global_write_actions", Json(result.global_write_actions));
-  o.emplace_back("ownership_acquisitions",
-                 Json(result.ownership_acquisitions));
-  o.emplace_back("invalidations", Json(result.invalidations));
-  o.emplace_back("single_invalidations", Json(result.single_invalidations));
-  o.emplace_back("eliminated_acquisitions",
-                 Json(result.eliminated_acquisitions));
-  o.emplace_back("update_transactions", Json(result.update_transactions));
-  o.emplace_back("updates_sent", Json(result.updates_sent));
-  o.emplace_back("data_misses", Json(result.data_misses));
-  o.emplace_back("coherence_misses", Json(result.coherence_misses));
-  o.emplace_back("false_sharing_misses", Json(result.false_sharing_misses));
-  o.emplace_back("accesses", Json(result.accesses));
-  o.emplace_back("l1_hits", Json(result.l1_hits));
-  o.emplace_back("l2_hits", Json(result.l2_hits));
-  o.emplace_back("blocks_tagged", Json(result.blocks_tagged));
-  o.emplace_back("blocks_detagged", Json(result.blocks_detagged));
-  o.emplace_back("dir_entry_evictions", Json(result.dir_entry_evictions));
   // Derived ratios for human/plotting convenience; ignored on parse.
   Json::Object derived;
   derived.emplace_back("invalidations_per_write",
@@ -244,88 +191,45 @@ Json run_result_to_json(const RunResult& result) {
 
 bool run_result_from_json(const Json& json, RunResult* out,
                           std::string* error) {
-  const auto fail = [error](const char* what) {
-    if (error != nullptr) *error = what;
+  const auto fail = [error](std::string what) {
+    if (error != nullptr) *error = std::move(what);
     return false;
   };
   if (!json.is_object()) return fail("run result must be an object");
   *out = RunResult{};
-  if (const Json* proto = json.find("protocol");
-      proto != nullptr && proto->is_string()) {
-    if (!protocol_from_name(proto->as_string(), &out->protocol)) {
-      return fail("unknown protocol name");
-    }
-  }
-  if (const Json* dir = json.find("directory");
-      dir != nullptr && dir->is_string()) {
-    if (!directory_from_name(dir->as_string(), &out->directory)) {
-      return fail("unknown directory organisation name");
-    }
-  }
-  if (const Json* net = json.find("interconnect");
-      net != nullptr && net->is_string()) {
-    if (!interconnect_from_name(net->as_string(), &out->interconnect)) {
-      return fail("unknown interconnect name");
-    }
-  }
-  if (!read_u64(json, "exec_cycles", &out->exec_time, error)) return false;
-  if (const Json* time = json.find("time"); time != nullptr) {
-    if (!time->is_object()) return fail("'time' must be an object");
-    if (!read_u64(*time, "busy", &out->time.busy, error) ||
-        !read_u64(*time, "read_stall", &out->time.read_stall, error) ||
-        !read_u64(*time, "write_stall", &out->time.write_stall, error)) {
-      return false;
-    }
-  }
-  if (const Json* traffic = json.find("traffic"); traffic != nullptr) {
-    if (!traffic->is_object()) return fail("'traffic' must be an object");
-    for (int c = 0; c < kNumMsgClasses; ++c) {
-      if (!read_u64(*traffic, to_string(static_cast<MsgClass>(c)),
-                    &out->traffic[static_cast<std::size_t>(c)], error)) {
-        return false;
+  for (const RunResultField& field : kRunResultFields) {
+    if (!field.in_manifest) continue;
+    const auto [group, member] = split_key(field.key);
+    // Absent members keep their defaults (older documents).
+    const Json* v = json.find(group);
+    if (v != nullptr && !member.empty()) {
+      if (is_index(member)) {
+        const std::size_t index = std::stoul(std::string(member));
+        if (!v->is_array() || v->as_array().size() <= index) {
+          return fail("'" + std::string(group) + "' must be an array of " +
+                      "at least " + std::to_string(index + 1) + " numbers");
+        }
+        v = &v->as_array()[index];
+      } else {
+        if (!v->is_object()) {
+          return fail("'" + std::string(group) + "' must be an object");
+        }
+        v = v->find(member);
       }
     }
-    if (!read_u64(*traffic, "total", &out->traffic_total, error)) {
+    if (v == nullptr) continue;
+    std::uint64_t value = 0;
+    if (field.parse != nullptr) {
+      if (!v->is_string() || !field.parse(v->as_string(), &value)) {
+        return fail("unknown name in field '" + std::string(field.key) +
+                    "'");
+      }
+    } else if (!v->read_uint_value(field.key, &value, error)) {
       return false;
     }
+    field.set(*out, value);
   }
-  if (const Json* home = json.find("read_miss_home"); home != nullptr) {
-    if (!home->is_array() ||
-        home->as_array().size() !=
-            static_cast<std::size_t>(kNumHomeStates)) {
-      return fail("'read_miss_home' must be a 4-element array");
-    }
-    for (int s = 0; s < kNumHomeStates; ++s) {
-      const Json& v = home->as_array()[static_cast<std::size_t>(s)];
-      if (!v.is_number()) return fail("'read_miss_home' entries not numeric");
-      out->read_miss_home[static_cast<std::size_t>(s)] = v.as_uint();
-    }
-  }
-  return read_u64(json, "global_read_misses", &out->global_read_misses,
-                  error) &&
-         read_u64(json, "global_write_actions", &out->global_write_actions,
-                  error) &&
-         read_u64(json, "ownership_acquisitions",
-                  &out->ownership_acquisitions, error) &&
-         read_u64(json, "invalidations", &out->invalidations, error) &&
-         read_u64(json, "single_invalidations", &out->single_invalidations,
-                  error) &&
-         read_u64(json, "eliminated_acquisitions",
-                  &out->eliminated_acquisitions, error) &&
-         read_u64(json, "update_transactions", &out->update_transactions,
-                  error) &&
-         read_u64(json, "updates_sent", &out->updates_sent, error) &&
-         read_u64(json, "data_misses", &out->data_misses, error) &&
-         read_u64(json, "coherence_misses", &out->coherence_misses, error) &&
-         read_u64(json, "false_sharing_misses", &out->false_sharing_misses,
-                  error) &&
-         read_u64(json, "accesses", &out->accesses, error) &&
-         read_u64(json, "l1_hits", &out->l1_hits, error) &&
-         read_u64(json, "l2_hits", &out->l2_hits, error) &&
-         read_u64(json, "blocks_tagged", &out->blocks_tagged, error) &&
-         read_u64(json, "blocks_detagged", &out->blocks_detagged, error) &&
-         read_u64(json, "dir_entry_evictions", &out->dir_entry_evictions,
-                  error);
+  return true;
 }
 
 Json manifest_to_json(const RunManifest& manifest) {
@@ -369,11 +273,12 @@ bool manifest_from_json(const Json& json, RunManifest* out,
   };
   if (!json.is_object()) return fail("manifest must be an object");
   *out = RunManifest{};
-  const Json* version = json.find("schema_version");
-  if (version == nullptr || !version->is_number()) {
+  if (json.find("schema_version") == nullptr) {
     return fail("manifest needs a numeric 'schema_version'");
   }
-  out->schema_version = static_cast<std::uint32_t>(version->as_uint());
+  if (!json.read_uint("schema_version", &out->schema_version, error)) {
+    return false;
+  }
   if (out->schema_version > kManifestSchemaVersion) {
     return fail("manifest schema_version is newer than this build");
   }
@@ -385,7 +290,7 @@ bool manifest_from_json(const Json& json, RunManifest* out,
       wl != nullptr && wl->is_string()) {
     out->workload = wl->as_string();
   }
-  if (!read_u64(json, "seed", &out->seed, error)) return false;
+  if (!json.read_uint("seed", &out->seed, error)) return false;
   if (const Json* params = json.find("params"); params != nullptr) {
     if (!params->is_object()) return fail("'params' must be an object");
     for (const auto& [k, v] : params->as_object()) {

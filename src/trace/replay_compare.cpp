@@ -8,6 +8,7 @@
 #include "mem/address_space.hpp"
 #include "trace/config_hash.hpp"
 #include "trace/recorder.hpp"
+#include "workloads/result_fields.hpp"
 
 namespace lssim {
 
@@ -248,39 +249,14 @@ std::vector<RunResult> ReplayCompareEngine::replay_matrix(
 std::vector<std::string> compare_replay(const RunResult& executed,
                                         const RunResult& replayed) {
   std::vector<std::string> diffs;
-  const auto field = [&diffs](const char* name, std::uint64_t exec,
-                              std::uint64_t replay) {
+  for (const RunResultField& field : kRunResultFields) {
+    const std::uint64_t exec = field.get(executed);
+    const std::uint64_t replay = field.get(replayed);
     if (exec != replay) {
-      diffs.push_back(std::string(name) + ": executed " +
-                      std::to_string(exec) + ", replayed " +
-                      std::to_string(replay));
+      diffs.push_back(std::string(field.key) + ": executed " +
+                      field.text(exec) + ", replayed " + field.text(replay));
     }
-  };
-  field("exec_cycles", executed.exec_time, replayed.exec_time);
-  field("busy", executed.time.busy, replayed.time.busy);
-  field("read_stall", executed.time.read_stall, replayed.time.read_stall);
-  field("write_stall", executed.time.write_stall, replayed.time.write_stall);
-  field("accesses", executed.accesses, replayed.accesses);
-  field("l1_hits", executed.l1_hits, replayed.l1_hits);
-  field("l2_hits", executed.l2_hits, replayed.l2_hits);
-  field("messages", executed.traffic_total, replayed.traffic_total);
-  field("global_read_misses", executed.global_read_misses,
-        replayed.global_read_misses);
-  field("global_write_actions", executed.global_write_actions,
-        replayed.global_write_actions);
-  field("ownership_acquisitions", executed.ownership_acquisitions,
-        replayed.ownership_acquisitions);
-  field("invalidations", executed.invalidations, replayed.invalidations);
-  field("eliminated_acquisitions", executed.eliminated_acquisitions,
-        replayed.eliminated_acquisitions);
-  field("update_transactions", executed.update_transactions,
-        replayed.update_transactions);
-  field("updates_sent", executed.updates_sent, replayed.updates_sent);
-  field("blocks_tagged", executed.blocks_tagged, replayed.blocks_tagged);
-  field("blocks_detagged", executed.blocks_detagged,
-        replayed.blocks_detagged);
-  field("dir_entry_evictions", executed.dir_entry_evictions,
-        replayed.dir_entry_evictions);
+  }
   return diffs;
 }
 

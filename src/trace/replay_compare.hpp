@@ -151,12 +151,11 @@ class ReplayCompareEngine {
 };
 
 /// Field-by-field comparison of an executed run against its replay: one
-/// human-readable message per differing stat ("exec_cycles: executed
-/// 1234, replayed 1200"), empty when the runs agree. Covers the cycle
-/// accounting (exec_cycles, busy, read/write stall), access and miss
-/// counters, traffic, and the protocol's tagging behaviour
-/// (blocks_tagged / detagged, eliminated acquisitions) — the stats the
-/// cross-check mode asserts bit-identical on feedback-insensitive runs.
+/// message per differing RunResult field, named by its manifest key
+/// ("exec_cycles: executed 1234, replayed 1200", "time.busy: ...",
+/// "oracle_total.ls_writes: ..."), empty when the runs agree. Covers
+/// every row of kRunResultFields (workloads/result_fields.hpp), which is
+/// every RunResult member.
 [[nodiscard]] std::vector<std::string> compare_replay(
     const RunResult& executed, const RunResult& replayed);
 

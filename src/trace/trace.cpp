@@ -167,6 +167,7 @@ Trace Trace::load(std::istream& is) {
     check_field(r.size == 1 || r.size == 2 || r.size == 4 || r.size == 8,
                 "size", r.size, i);
     check_field(r.tag < kNumStreamTags, "tag", r.tag, i);
+    check_field(r.node < kMaxNodes, "node", r.node, i);
     trace.records_.push_back(r);
   }
   return trace;

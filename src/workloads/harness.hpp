@@ -45,6 +45,11 @@ struct RunResult {
   LsOracleCounters oracle_total;
   std::array<LsOracleCounters, kNumStreamTags> oracle_by_tag{};
 
+  /// Member-wise equality. kRunResultFields (workloads/result_fields.hpp)
+  /// has one row per value; its test compares through this operator, so
+  /// a member added without a row fails there.
+  bool operator==(const RunResult&) const = default;
+
   /// Average invalidations per global write action (paper §5.4 quotes
   /// ~1.4 for OLTP).
   [[nodiscard]] double invalidations_per_write() const noexcept {

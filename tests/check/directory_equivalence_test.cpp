@@ -120,7 +120,7 @@ TEST(DirectoryEquivalence, AllOrganizationsAllProtocolsInvariantClean) {
         apply(org, &trace.machine);
         const TraceRunResult result = run_trace(trace);
         EXPECT_TRUE(result.ok())
-            << protocol_name(kind) << " under " << org.label << " seed "
+            << to_string(kind) << " under " << org.label << " seed "
             << seed << ":\n"
             << violation_digest(result);
         EXPECT_EQ(result.accesses, trace.accesses.size());
@@ -141,7 +141,7 @@ TEST(DirectoryEquivalence, SingleNodePointerStormSurvivesOverflowReclaim) {
     trace.machine.directory_pointers = 1;
     const TraceRunResult result = run_trace(trace);
     EXPECT_TRUE(result.ok())
-        << protocol_name(kind) << ":\n" << violation_digest(result);
+        << to_string(kind) << ":\n" << violation_digest(result);
   }
 }
 

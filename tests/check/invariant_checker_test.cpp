@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "../coherence_check.hpp"
+#include "../core/protocol_test_util.hpp"
 #include "check/trace_runner.hpp"
 #include "core/protocol_registry.hpp"
 
@@ -34,11 +36,47 @@ ReproTrace mixed_trace(ProtocolKind kind) {
   return trace;
 }
 
+/// True when some message reports a [dir-cache-agreement] violation
+/// that mentions `needle`.
+bool reports_agreement(const std::vector<std::string>& messages,
+                       const std::string& needle) {
+  for (const std::string& m : messages) {
+    if (m.find("[dir-cache-agreement]") != std::string::npos &&
+        m.find(needle) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// coherence_violations (the helper every protocol test asserts a
+// coherent machine through) must still see a corrupted directory.
+TEST(InvariantChecker, DroppedSharerIsReported) {
+  ProtocolFixture f(ProtocolFixture::tiny(ProtocolKind::kBaseline));
+  const Addr block = f.on_home(1);
+  f.read(0, block);
+  f.read(2, block);
+  ASSERT_EQ(coherence_violations(f.ms()), kNoViolations);
+  f.ms().directory().entry(block).remove_sharer(2);
+  EXPECT_TRUE(reports_agreement(coherence_violations(f.ms()),
+                                "node 2 holds"));
+}
+
+TEST(InvariantChecker, StaleOwnerIsReported) {
+  ProtocolFixture f(ProtocolFixture::tiny(ProtocolKind::kBaseline));
+  const Addr block = f.on_home(1);
+  f.write(3, block, 7);
+  ASSERT_EQ(coherence_violations(f.ms()), kNoViolations);
+  f.ms().directory().entry(block).owner = 0;
+  EXPECT_TRUE(reports_agreement(coherence_violations(f.ms()),
+                                "node 3 holds"));
+}
+
 TEST(InvariantChecker, CleanTracePassesUnderEveryProtocol) {
   for (ProtocolKind kind : all_protocol_kinds()) {
     const TraceRunResult run =
         run_trace(mixed_trace(kind), {}, CheckerOptions{.full_scan_interval = 1});
-    EXPECT_TRUE(run.ok()) << protocol_name(kind) << ": "
+    EXPECT_TRUE(run.ok()) << to_string(kind) << ": "
                           << (run.violations.empty()
                                   ? "?"
                                   : run.violations.front().message());
@@ -55,7 +93,7 @@ TEST(InvariantChecker, IncrementalAndFullSweepAgree) {
         run_trace(trace, {}, CheckerOptions{.full_scan_interval = 1});
     const TraceRunResult incremental =
         run_trace(trace, {}, CheckerOptions{.full_scan_interval = 0});
-    EXPECT_EQ(sweep.ok(), incremental.ok()) << protocol_name(kind);
+    EXPECT_EQ(sweep.ok(), incremental.ok()) << to_string(kind);
   }
 }
 

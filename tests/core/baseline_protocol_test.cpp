@@ -1,6 +1,7 @@
 // Baseline write-invalidate protocol semantics (DASH-like, paper §4.2).
 #include <gtest/gtest.h>
 
+#include "../coherence_check.hpp"
 #include "protocol_test_util.hpp"
 
 namespace lssim {
@@ -20,7 +21,7 @@ TEST_F(BaselineTest, ColdReadBecomesShared) {
   EXPECT_EQ(e.state, DirState::kShared);
   EXPECT_TRUE(e.is_sharer(1));
   EXPECT_EQ(e.last_reader, 1);
-  EXPECT_TRUE(f_.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f_.ms()), kNoViolations);
 }
 
 TEST_F(BaselineTest, MultipleReadersShare) {
@@ -30,7 +31,7 @@ TEST_F(BaselineTest, MultipleReadersShare) {
   (void)f_.read(2, a);
   const DirEntry& e = f_.dir(a);
   EXPECT_EQ(e.sharer_count(), 3);
-  EXPECT_TRUE(f_.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f_.ms()), kNoViolations);
 }
 
 TEST_F(BaselineTest, WriteMissBecomesDirty) {
@@ -41,7 +42,7 @@ TEST_F(BaselineTest, WriteMissBecomesDirty) {
   EXPECT_EQ(e.state, DirState::kDirty);
   EXPECT_EQ(e.owner, 2);
   EXPECT_EQ(e.last_writer, 2);
-  EXPECT_TRUE(f_.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f_.ms()), kNoViolations);
 }
 
 TEST_F(BaselineTest, UpgradeInvalidatesAllOtherSharers) {
@@ -56,7 +57,7 @@ TEST_F(BaselineTest, UpgradeInvalidatesAllOtherSharers) {
   EXPECT_EQ(f_.stats().invalidations_sent, 2u);
   EXPECT_EQ(f_.stats().ownership_acquisitions, 1u);
   EXPECT_EQ(f_.stats().single_invalidations, 0u);
-  EXPECT_TRUE(f_.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f_.ms()), kNoViolations);
 }
 
 TEST_F(BaselineTest, SingleInvalidationCounted) {
@@ -76,7 +77,7 @@ TEST_F(BaselineTest, ReadOnDirtyDowngradesOwner) {
   const DirEntry& e = f_.dir(a);
   EXPECT_EQ(e.state, DirState::kShared);
   EXPECT_EQ(e.sharer_count(), 2);
-  EXPECT_TRUE(f_.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f_.ms()), kNoViolations);
 }
 
 TEST_F(BaselineTest, WriteMissOnDirtyTransfersOwnership) {
@@ -86,7 +87,7 @@ TEST_F(BaselineTest, WriteMissOnDirtyTransfersOwnership) {
   EXPECT_EQ(f_.state_of(1, a), CacheState::kInvalid);
   EXPECT_EQ(f_.state_of(2, a), CacheState::kModified);
   EXPECT_EQ(f_.dir(a).owner, 2);
-  EXPECT_TRUE(f_.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f_.ms()), kNoViolations);
 }
 
 TEST_F(BaselineTest, WriteMissOnSharedInvalidatesAll) {
@@ -98,7 +99,7 @@ TEST_F(BaselineTest, WriteMissOnSharedInvalidatesAll) {
   EXPECT_EQ(f_.state_of(1, a), CacheState::kInvalid);
   EXPECT_EQ(f_.state_of(2, a), CacheState::kModified);
   EXPECT_EQ(f_.stats().invalidations_sent, 2u);
-  EXPECT_TRUE(f_.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f_.ms()), kNoViolations);
 }
 
 TEST_F(BaselineTest, EvictionOfSharedUpdatesDirectory) {
@@ -108,7 +109,7 @@ TEST_F(BaselineTest, EvictionOfSharedUpdatesDirectory) {
   const DirEntry& e = f_.dir(a);
   EXPECT_FALSE(e.is_sharer(1));
   EXPECT_EQ(e.state, DirState::kUncached);
-  EXPECT_TRUE(f_.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f_.ms()), kNoViolations);
 }
 
 TEST_F(BaselineTest, EvictionOfDirtyWritesBack) {

@@ -177,10 +177,9 @@ TEST(SparsePolicy, BoundsTheEntryPopulation) {
 
 TEST(DirectoryRegistry, EveryKindIsRegisteredInOrder) {
   const auto all = registered_directories();
-  ASSERT_EQ(all.size(), all_directory_kinds().size());
+  ASSERT_EQ(all.size(), kDirectoryNames.rows.size());
   for (std::size_t i = 0; i < all.size(); ++i) {
-    EXPECT_EQ(all[i].kind, all_directory_kinds()[i]);
-    EXPECT_STREQ(all[i].name, directory_name(all[i].kind));
+    EXPECT_EQ(all[i].kind, kDirectoryNames.rows[i].kind);
     EXPECT_NE(all[i].summary, nullptr);
     EXPECT_NE(all[i].make, nullptr);
     EXPECT_EQ(&directory_info(all[i].kind), &all[i]);
@@ -205,16 +204,17 @@ TEST(DirectoryRegistry, FindResolvesNamesAndAliasesCaseInsensitively) {
       {"dir-cache", DirectoryKind::kSparse},
   };
   for (const auto& c : cases) {
-    const DirectoryInfo* info = find_directory(c.name);
-    ASSERT_NE(info, nullptr) << c.name;
-    EXPECT_EQ(info->kind, c.kind) << c.name;
+    DirectoryKind kind;
+    ASSERT_TRUE(kDirectoryNames.parse(c.name, &kind)) << c.name;
+    EXPECT_EQ(kind, c.kind) << c.name;
   }
-  EXPECT_EQ(find_directory("mesif"), nullptr);
-  EXPECT_EQ(find_directory(""), nullptr);
+  DirectoryKind kind;
+  EXPECT_FALSE(kDirectoryNames.parse("mesif", &kind));
+  EXPECT_FALSE(kDirectoryNames.parse("", &kind));
 }
 
 TEST(DirectoryRegistry, RegisteredNamesListsEveryOrganisation) {
-  const std::string names = registered_directory_names();
+  const std::string names = kDirectoryNames.joined();
   for (const char* expected :
        {"full-map", "limited-ptr", "coarse", "sparse"}) {
     EXPECT_NE(names.find(expected), std::string::npos) << names;

@@ -2,6 +2,7 @@
 // per-site training, exclusive grants, misprediction feedback.
 #include <gtest/gtest.h>
 
+#include "../coherence_check.hpp"
 #include "core/ils_predictor.hpp"
 #include "protocol_test_util.hpp"
 
@@ -57,7 +58,7 @@ TEST_F(IlsTest, ConfidentSiteGetsExclusiveCopy) {
   const AccessResult w = write_site(1, a, 1);
   EXPECT_EQ(w.latency, 1u);
   EXPECT_EQ(f_.stats().eliminated_acquisitions, 1u);
-  EXPECT_TRUE(f_.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f_.ms()), kNoViolations);
 }
 
 TEST_F(IlsTest, UntrainedSiteGetsSharedCopy) {

@@ -2,6 +2,7 @@
 // the sharer word, broadcast once the pointer budget overflows.
 #include <gtest/gtest.h>
 
+#include "../coherence_check.hpp"
 #include "core/directory_policy.hpp"
 #include "protocol_test_util.hpp"
 
@@ -41,7 +42,7 @@ TEST(LimitedDir, OverflowTriggersBroadcastInvalidation) {
   EXPECT_EQ(f.state_of(1, a), CacheState::kInvalid);
   EXPECT_EQ(f.state_of(2, a), CacheState::kInvalid);
   EXPECT_EQ(f.state_of(0, a), CacheState::kModified);
-  EXPECT_TRUE(f.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f.ms()), kNoViolations);
 }
 
 TEST(LimitedDir, BelievedSharersMatchPointers) {
@@ -132,7 +133,7 @@ TEST(LimitedDir, OverflowSurvivesReplacements) {
   f.force_eviction(2, a);
   EXPECT_EQ(f.dir(a).state, DirState::kShared);
   EXPECT_TRUE(f.dir(a).imprecise);
-  EXPECT_TRUE(f.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f.ms()), kNoViolations);
   // The next writer re-precises the entry.
   (void)f.write(3, a);
   EXPECT_FALSE(f.dir(a).imprecise);

@@ -1,6 +1,7 @@
 // The paper's LS protocol extension (§3, §3.1, Figure 1).
 #include <gtest/gtest.h>
 
+#include "../coherence_check.hpp"
 #include "protocol_test_util.hpp"
 
 namespace lssim {
@@ -38,7 +39,7 @@ TEST_F(LsTest, TaggedReadReturnsExclusiveLStemp) {
   EXPECT_EQ(f_.dir(a).state, DirState::kExcl);
   EXPECT_EQ(f_.dir(a).owner, 2);
   EXPECT_EQ(f_.stats().exclusive_read_replies, 1u);
-  EXPECT_TRUE(f_.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f_.ms()), kNoViolations);
 }
 
 TEST_F(LsTest, WriteOnLStempIsLocalAndEliminatesOwnership) {
@@ -52,7 +53,7 @@ TEST_F(LsTest, WriteOnLStempIsLocalAndEliminatesOwnership) {
   EXPECT_EQ(f_.stats().messages_total(), msgs_before);  // Zero traffic.
   EXPECT_EQ(f_.stats().eliminated_acquisitions, 1u);
   EXPECT_EQ(f_.state_of(2, a), CacheState::kModified);
-  EXPECT_TRUE(f_.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f_.ms()), kNoViolations);
 }
 
 TEST_F(LsTest, MigratoryChainStaysOptimized) {
@@ -117,7 +118,7 @@ TEST_F(LsTest, ForeignReadOnLStempDetagsAndShares) {
   EXPECT_FALSE(f_.dir(a).tagged);
   EXPECT_EQ(f_.stats().blocks_detagged, 1u);
   EXPECT_EQ(f_.stats().notls_messages, 1u);
-  EXPECT_TRUE(f_.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f_.ms()), kNoViolations);
 }
 
 TEST_F(LsTest, ForeignWriteOnLStempDetags) {
@@ -129,7 +130,7 @@ TEST_F(LsTest, ForeignWriteOnLStempDetags) {
   EXPECT_EQ(f_.state_of(2, a), CacheState::kInvalid);
   EXPECT_EQ(f_.state_of(3, a), CacheState::kModified);
   EXPECT_FALSE(f_.dir(a).tagged);
-  EXPECT_TRUE(f_.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f_.ms()), kNoViolations);
 }
 
 TEST_F(LsTest, LoneWriteMissDetags) {
@@ -165,7 +166,7 @@ TEST_F(LsTest, LStempReplacementKeepsLsBit) {
   f_.force_eviction(2, a);
   EXPECT_EQ(f_.dir(a).state, DirState::kUncached);
   EXPECT_TRUE(f_.dir(a).tagged);
-  EXPECT_TRUE(f_.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f_.ms()), kNoViolations);
 }
 
 TEST_F(LsTest, ReadMissClassifiedCleanExclusive) {

@@ -12,6 +12,7 @@
 #include "core/protocol_registry.hpp"
 #include "sim/rng.hpp"
 
+#include "../../coherence_check.hpp"
 #include "../protocol_test_util.hpp"
 
 namespace lssim {
@@ -85,14 +86,14 @@ std::vector<std::uint64_t> replay(ProtocolKind kind,
     req.site = op.site;
     const AccessResult r = f.issue(op.node, req);
     values.push_back(r.value);
-    if (!f.ms().check_coherence_invariants()) {
+    if (!coherence_violations(f.ms()).empty()) {
       ADD_FAILURE() << "coherence invariants broken under "
                     << to_string(kind) << " at op " << i;
       return values;
     }
   }
   f.ms().finalize();
-  EXPECT_TRUE(f.ms().check_coherence_invariants()) << to_string(kind);
+  EXPECT_EQ(coherence_violations(f.ms()), kNoViolations) << to_string(kind);
   return values;
 }
 

@@ -3,6 +3,7 @@
 // MemorySystem rather than the bare hooks.
 #include <gtest/gtest.h>
 
+#include "../../coherence_check.hpp"
 #include "../protocol_test_util.hpp"
 
 namespace lssim {
@@ -23,7 +24,7 @@ TEST_F(LsAdHybridTest, LsRuleTagsReadThenWrite) {
   (void)f_.read(1, a);
   (void)f_.write(1, a, 7);
   EXPECT_TRUE(f_.dir(a).tagged);
-  EXPECT_TRUE(f_.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f_.ms()), kNoViolations);
 }
 
 TEST_F(LsAdHybridTest, AdFallbackTagsWhereTheLrFieldCannotSee) {
@@ -39,7 +40,7 @@ TEST_F(LsAdHybridTest, AdFallbackTagsWhereTheLrFieldCannotSee) {
   ASSERT_FALSE(f_.dir(a).tagged);
   (void)f_.write(2, a, 2);
   EXPECT_TRUE(f_.dir(a).tagged);
-  EXPECT_TRUE(f_.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f_.ms()), kNoViolations);
 }
 
 TEST_F(LsAdHybridTest, PlainLsStaysUntaggedOnTheFallbackPattern) {
@@ -66,7 +67,7 @@ TEST_F(LsAdHybridTest, TaggedBlockEliminatesTheNextAcquisition) {
   EXPECT_EQ(f_.state_of(2, a), CacheState::kLStemp);
   const AccessResult w = f_.write(2, a, 8);
   EXPECT_FALSE(w.global);
-  EXPECT_TRUE(f_.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f_.ms()), kNoViolations);
 }
 
 TEST_F(LsAdHybridTest, LoneWriteDetags) {
@@ -77,7 +78,7 @@ TEST_F(LsAdHybridTest, LoneWriteDetags) {
   // Node 2 writes without reading first: negative evidence, §3.1.
   (void)f_.write(2, a, 9);
   EXPECT_FALSE(f_.dir(a).tagged);
-  EXPECT_TRUE(f_.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f_.ms()), kNoViolations);
 }
 
 TEST_F(LsAdHybridTest, ReadSharedPatternDetagsViaForeignAccess) {
@@ -91,7 +92,7 @@ TEST_F(LsAdHybridTest, ReadSharedPatternDetagsViaForeignAccess) {
   ASSERT_EQ(f_.state_of(2, a), CacheState::kLStemp);
   (void)f_.read(3, a);
   EXPECT_FALSE(f_.dir(a).tagged);
-  EXPECT_TRUE(f_.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f_.ms()), kNoViolations);
 }
 
 TEST_F(LsAdHybridTest, TagSurvivesReplacementOfTheOwningCopy) {
@@ -103,7 +104,7 @@ TEST_F(LsAdHybridTest, TagSurvivesReplacementOfTheOwningCopy) {
   // AD would have dropped the property here (broken hand-off chain);
   // the hybrid's bit is home-resident like LS's.
   EXPECT_TRUE(f_.dir(a).tagged);
-  EXPECT_TRUE(f_.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f_.ms()), kNoViolations);
 }
 
 }  // namespace

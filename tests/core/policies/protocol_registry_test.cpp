@@ -1,6 +1,6 @@
-// The name-keyed protocol registry: complete coverage of every
-// ProtocolKind, exact name round-trips with sim/config's shared table,
-// case-insensitive alias lookup, and working factories.
+// The kind-keyed protocol registry: complete coverage of every
+// ProtocolKind and working factories; and the kProtocolNames table it
+// takes names from: exact round-trips and case-insensitive aliases.
 #include "core/protocol_registry.hpp"
 
 #include <gtest/gtest.h>
@@ -16,10 +16,9 @@ TEST(ProtocolRegistryTest, EveryKindIsRegisteredInEnumOrder) {
   for (std::size_t i = 0; i < protocols.size(); ++i) {
     const ProtocolInfo& info = protocols[i];
     EXPECT_EQ(static_cast<std::size_t>(info.kind), i);
-    EXPECT_STREQ(info.name, protocol_name(info.kind));
     EXPECT_NE(info.summary, nullptr);
-    EXPECT_NE(info.summary[0], '\0') << info.name;
-    ASSERT_NE(info.make, nullptr) << info.name;
+    EXPECT_NE(info.summary[0], '\0') << to_string(info.kind);
+    ASSERT_NE(info.make, nullptr) << to_string(info.kind);
   }
 }
 
@@ -28,8 +27,8 @@ TEST(ProtocolRegistryTest, FactoriesBuildTheMatchingPolicy) {
     MachineConfig cfg;
     cfg.protocol.kind = info.kind;
     const auto policy = info.make(cfg);
-    ASSERT_NE(policy, nullptr) << info.name;
-    EXPECT_EQ(policy->kind(), info.kind) << info.name;
+    ASSERT_NE(policy, nullptr) << to_string(info.kind);
+    EXPECT_EQ(policy->kind(), info.kind) << to_string(info.kind);
   }
 }
 
@@ -44,35 +43,37 @@ TEST(ProtocolRegistryTest, MakePolicyResolvesTheConfiguredKind) {
 }
 
 TEST(ProtocolRegistryTest, FindProtocolMatchesNamesAndAliases) {
+  const auto find = [](const char* name) {
+    ProtocolKind kind;
+    return kProtocolNames.parse(name, &kind) ? static_cast<int>(kind) : -1;
+  };
   // Canonical names, any case.
   for (const ProtocolInfo& info : registered_protocols()) {
-    const ProtocolInfo* found = find_protocol(info.name);
-    ASSERT_NE(found, nullptr) << info.name;
-    EXPECT_EQ(found->kind, info.kind);
+    EXPECT_EQ(find(to_string(info.kind)), static_cast<int>(info.kind));
   }
-  EXPECT_EQ(find_protocol("baseline")->kind, ProtocolKind::kBaseline);
-  EXPECT_EQ(find_protocol("BASELINE")->kind, ProtocolKind::kBaseline);
-  EXPECT_EQ(find_protocol("wi")->kind, ProtocolKind::kBaseline);
-  EXPECT_EQ(find_protocol("migratory")->kind, ProtocolKind::kAd);
-  EXPECT_EQ(find_protocol("instruction")->kind, ProtocolKind::kIls);
-  EXPECT_EQ(find_protocol("ls+ad")->kind, ProtocolKind::kLsAd);
-  EXPECT_EQ(find_protocol("LS-AD")->kind, ProtocolKind::kLsAd);
-  EXPECT_EQ(find_protocol("hybrid")->kind, ProtocolKind::kLsAd);
-  EXPECT_EQ(find_protocol(""), nullptr);
-  EXPECT_EQ(find_protocol("mesif"), nullptr);
+  EXPECT_EQ(find("baseline"), static_cast<int>(ProtocolKind::kBaseline));
+  EXPECT_EQ(find("BASELINE"), static_cast<int>(ProtocolKind::kBaseline));
+  EXPECT_EQ(find("wi"), static_cast<int>(ProtocolKind::kBaseline));
+  EXPECT_EQ(find("migratory"), static_cast<int>(ProtocolKind::kAd));
+  EXPECT_EQ(find("instruction"), static_cast<int>(ProtocolKind::kIls));
+  EXPECT_EQ(find("ls+ad"), static_cast<int>(ProtocolKind::kLsAd));
+  EXPECT_EQ(find("LS-AD"), static_cast<int>(ProtocolKind::kLsAd));
+  EXPECT_EQ(find("hybrid"), static_cast<int>(ProtocolKind::kLsAd));
+  EXPECT_EQ(find(""), -1);
+  EXPECT_EQ(find("mesif"), -1);
 }
 
 TEST(ProtocolRegistryTest, ProtocolInfoByKind) {
   const ProtocolInfo& info = protocol_info(ProtocolKind::kLsAd);
   EXPECT_EQ(info.kind, ProtocolKind::kLsAd);
-  EXPECT_STREQ(info.name, "LS+AD");
+  EXPECT_STREQ(to_string(info.kind), "LS+AD");
 }
 
 TEST(ProtocolRegistryTest, RegisteredNamesJoinInOrder) {
-  EXPECT_EQ(registered_protocol_names(),
+  EXPECT_EQ(kProtocolNames.joined(),
             "Baseline, AD, LS, ILS, LS+AD, MESI, MOESI, Dragon, LS+MESI, "
             "LS+Dragon");
-  EXPECT_EQ(registered_protocol_names(" | "),
+  EXPECT_EQ(kProtocolNames.joined(" | "),
             "Baseline | AD | LS | ILS | LS+AD | MESI | MOESI | Dragon | "
             "LS+MESI | LS+Dragon");
 }

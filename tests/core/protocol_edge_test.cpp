@@ -2,6 +2,7 @@
 // mixed access sizes, long tag/de-tag churn, traffic-class accounting.
 #include <gtest/gtest.h>
 
+#include "../coherence_check.hpp"
 #include "protocol_test_util.hpp"
 
 namespace lssim {
@@ -20,7 +21,7 @@ TEST(ProtocolEdge, SingleNodeMachineNeverSendsMessages) {
   }
   EXPECT_EQ(f.stats().messages_total(), 0u);  // All transactions local.
   EXPECT_GT(f.stats().global_read_misses, 0u);
-  EXPECT_TRUE(f.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f.ms()), kNoViolations);
 }
 
 TEST(ProtocolEdge, HomeIsOwnerForwardingDegenerates) {
@@ -31,7 +32,7 @@ TEST(ProtocolEdge, HomeIsOwnerForwardingDegenerates) {
   const AccessResult r = f.read(1, a);  // Requester remote.
   EXPECT_EQ(r.value, 9u);
   EXPECT_LT(r.latency, 420u);  // Cheaper than the full 4-hop case.
-  EXPECT_TRUE(f.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f.ms()), kNoViolations);
 }
 
 TEST(ProtocolEdge, RequesterIsHomeWithRemoteOwner) {
@@ -69,7 +70,7 @@ TEST(ProtocolEdge, TagDetagChurnStaysConsistent) {
     for (NodeId n = 0; n < 4; ++n) {
       EXPECT_EQ(f.read(n, a).value, static_cast<std::uint64_t>(round));
     }
-    EXPECT_TRUE(f.ms().check_coherence_invariants()) << "round " << round;
+    EXPECT_EQ(coherence_violations(f.ms()), kNoViolations) << "round " << round;
   }
   EXPECT_GT(f.stats().blocks_detagged, 5u);
 }
@@ -109,7 +110,7 @@ TEST(ProtocolEdge, SixtyFourNodeMachine) {
   EXPECT_EQ(f.dir(a).sharer_count(), 64);
   (void)f.write(63, a, 1);
   EXPECT_EQ(f.stats().invalidations_sent, 63u);
-  EXPECT_TRUE(f.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f.ms()), kNoViolations);
 }
 
 TEST(ProtocolEdge, WriteUpgradeRaceWithTaggedBlockViaThirdParty) {

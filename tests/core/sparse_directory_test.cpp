@@ -5,6 +5,7 @@
 // behaviour is covered in directory_policy_test.cpp.
 #include <gtest/gtest.h>
 
+#include "../coherence_check.hpp"
 #include "protocol_test_util.hpp"
 
 namespace lssim {
@@ -31,7 +32,7 @@ TEST(SparseDirectory, PopulationStaysUnderTheBound) {
   (void)f.write(0, c, 33);
   EXPECT_LE(f.ms().directory().size(), 2u);
   EXPECT_GE(f.stats().dir_entry_evictions, 1u);
-  EXPECT_TRUE(f.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f.ms()), kNoViolations);
 }
 
 TEST(SparseDirectory, EvictionInvalidatesTheVictimsCachedCopies) {
@@ -59,7 +60,7 @@ TEST(SparseDirectory, EvictionInvalidatesTheVictimsCachedCopies) {
           << "node " << int(n) << " still holds evicted block " << block;
     }
   }
-  EXPECT_TRUE(f.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f.ms()), kNoViolations);
 }
 
 TEST(SparseDirectory, DirtyVictimWritesItsDataBack) {
@@ -73,7 +74,7 @@ TEST(SparseDirectory, DirtyVictimWritesItsDataBack) {
   EXPECT_EQ(f.state_of(1, a), CacheState::kInvalid);
   // The writeback must not lose the value.
   EXPECT_EQ(f.read(3, a).value, 0xBEEFu);
-  EXPECT_TRUE(f.ms().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(f.ms()), kNoViolations);
 }
 
 TEST(SparseDirectory, InvariantsHoldAcrossChurn) {
@@ -96,7 +97,7 @@ TEST(SparseDirectory, InvariantsHoldAcrossChurn) {
           (void)f.fetch_add(node, addr, 1);
           break;
       }
-      ASSERT_TRUE(f.ms().check_coherence_invariants())
+      ASSERT_EQ(coherence_violations(f.ms()), kNoViolations)
           << "round " << round << " access " << i;
     }
   }

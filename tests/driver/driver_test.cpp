@@ -175,8 +175,8 @@ TEST(DriverOptions, ListFlagsParseAndSelectListMode) {
 }
 
 TEST(DriverOptions, RegisteredInterconnectNamesMatchTable) {
-  EXPECT_EQ(registered_interconnect_names(), "network, bus");
-  EXPECT_EQ(registered_interconnect_names(" | "), "network | bus");
+  EXPECT_EQ(kInterconnectNames.joined(), "network, bus");
+  EXPECT_EQ(kInterconnectNames.joined(" | "), "network | bus");
 }
 
 TEST(DriverOptions, DirectoryKnobsValidateTheirRanges) {

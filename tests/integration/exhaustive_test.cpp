@@ -13,6 +13,7 @@
 
 #include <map>
 
+#include "../coherence_check.hpp"
 #include "core/protocol.hpp"
 #include "core/protocol_registry.hpp"
 #include "mem/address_space.hpp"
@@ -77,7 +78,7 @@ TEST_P(ExhaustiveTest, AllBoundedSequencesAreCoherent) {
             it == reference.end() ? 0 : it->second;
         if (r.value != expected) ok = false;
       }
-      if (!ms.check_coherence_invariants()) ok = false;
+      if (!coherence_violations(ms).empty()) ok = false;
     }
     ++sequences;
     if (!ok) {

@@ -7,6 +7,7 @@
 #include <map>
 #include <tuple>
 
+#include "../coherence_check.hpp"
 #include "core/protocol.hpp"
 #include "mem/address_space.hpp"
 #include "sim/rng.hpp"
@@ -93,11 +94,11 @@ TEST_P(ProtocolProperty, RandomStreamKeepsInvariantsAndValues) {
     }
 
     if (op % 500 == 0) {
-      ASSERT_TRUE(ms.check_coherence_invariants()) << "op " << op;
+      ASSERT_EQ(coherence_violations(ms), kNoViolations) << "op " << op;
     }
   }
   ms.finalize();
-  EXPECT_TRUE(ms.check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(ms), kNoViolations);
   // Sanity on stats bookkeeping.
   EXPECT_EQ(stats.accesses, static_cast<std::uint64_t>(kOps));
   EXPECT_LE(stats.false_sharing_misses, stats.coherence_misses);

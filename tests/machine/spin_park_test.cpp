@@ -22,7 +22,7 @@ namespace {
 
 /// Everything a run leaves behind that parking could plausibly disturb.
 struct Outcome {
-  std::string result;   ///< run_result_to_json: every RunResult field.
+  RunResult result;     ///< collect(): every RunResult field.
   std::string metrics;  ///< Metrics snapshot JSON (telemetry on), else "".
   std::vector<Cycles> per_proc;  ///< busy, read stall, write stall.
   std::vector<std::uint64_t> latency;  ///< Read/write histogram buckets.
@@ -41,7 +41,7 @@ Outcome run_case(const MachineConfig& cfg, const WorkloadBuilder& build,
   }
   sys.run();
   Outcome out;
-  out.result = run_result_to_json(collect(sys)).dump();
+  out.result = collect(sys);
   if (const MetricsRegistry* m = sys.telemetry().metrics()) {
     out.metrics = snapshot_to_json(m->snapshot()).dump();
   }
@@ -83,7 +83,7 @@ std::uint64_t parked_probes(const MachineConfig& cfg,
   const Outcome parked = run_case(cfg, build, false);
   const Outcome observed = run_case(cfg, build, true);
   EXPECT_EQ(observed.bulk_probes, 0u) << label;
-  EXPECT_EQ(parked.result, observed.result) << label;
+  EXPECT_TRUE(parked.result == observed.result) << label;
   EXPECT_EQ(parked.metrics, observed.metrics) << label;
   EXPECT_EQ(parked.per_proc, observed.per_proc) << label;
   EXPECT_EQ(parked.latency, observed.latency) << label;
@@ -134,7 +134,7 @@ TEST(SpinPark, EveryWorkloadUnderEveryProtocol) {
     std::uint64_t workload_bulk = 0;
     for (const ProtocolKind kind : all_protocol_kinds()) {
       const std::string label =
-          std::string(w.name) + "/" + protocol_name(kind);
+          std::string(w.name) + "/" + to_string(kind);
       const std::uint64_t bulk =
           parked_probes(machine_for(w.name, kind), build, label);
       if (kind == ProtocolKind::kIls) {
@@ -162,8 +162,8 @@ TEST(SpinPark, EveryDirectoryOnNetworkAndBus) {
            {ProtocolKind::kBaseline, ProtocolKind::kLs, ProtocolKind::kMoesi,
             ProtocolKind::kDragon}) {
         const std::string label = std::string(to_string(dir)) + "/" +
-                                  interconnect_name(net) + "/" +
-                                  protocol_name(kind);
+                                  to_string(net) + "/" +
+                                  to_string(kind);
         MachineConfig cfg = MachineConfig::oltp_default(kind, 8);
         cfg.directory_scheme = dir;
         cfg.interconnect = net;
@@ -196,7 +196,7 @@ TEST(SpinPark, ScAndPc) {
         cfg.consistency = model;
         cfg.write_buffer_depth = 2;
         const std::string label = std::string(w.name) + "/" +
-                                  protocol_name(kind) + "/" + model_name;
+                                  to_string(kind) + "/" + model_name;
         const std::uint64_t bulk =
             parked_probes(cfg, driver_builder(w.name, w.params), label);
         if (w.name == std::string("oltp") ||
@@ -221,7 +221,7 @@ TEST(SpinPark, TelemetryMetricsAndArtifactsAgree) {
                             driver_builder("oltp", {{"txns_per_proc", "60"},
                                                     {"accounts", "4096"},
                                                     {"branches", "4"}}),
-                            protocol_name(kind)),
+                            to_string(kind)),
               0u);
   }
 }

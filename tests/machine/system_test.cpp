@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "../coherence_check.hpp"
 #include "mem/shared_heap.hpp"
 
 namespace lssim {
@@ -152,7 +153,7 @@ TEST(System, CoherenceInvariantsHoldAfterRun) {
               incrementer(sys, static_cast<NodeId>(n), a, 300));
   }
   sys.run();
-  EXPECT_TRUE(sys.memory().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(sys.memory()), kNoViolations);
   EXPECT_EQ(sys.space().load(a, 8), 1200u);
 }
 

@@ -2,6 +2,7 @@
 // crossbar default).
 #include <gtest/gtest.h>
 
+#include "../coherence_check.hpp"
 #include "core/protocol.hpp"
 #include "net/network.hpp"
 #include "stats/stats.hpp"
@@ -106,7 +107,7 @@ TEST(Topology, EndToEndProtocolRunsOnEveryTopology) {
       req.op = (i % 3 == 0) ? MemOpKind::kWrite : MemOpKind::kRead;
       (void)ms.access(static_cast<NodeId>(i % 4), req, 10000ull * i);
     }
-    EXPECT_TRUE(ms.check_coherence_invariants())
+    EXPECT_EQ(coherence_violations(ms), kNoViolations)
         << to_string(topo);
   }
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace lssim {
 namespace {
 
@@ -100,28 +103,62 @@ TEST(Config, ProtocolKindNames) {
 TEST(Config, ProtocolNameRoundTripsExactly) {
   // The printer and the parser share one table: every kind's canonical
   // name must parse back to the same kind.
-  for (const ProtocolNameEntry& entry : kProtocolNameTable) {
+  for (const NamedKind<ProtocolKind>& row : kProtocolNames.rows) {
     ProtocolKind kind;
-    ASSERT_TRUE(protocol_from_name(protocol_name(entry.kind), &kind))
-        << entry.name;
-    EXPECT_EQ(kind, entry.kind);
+    ASSERT_TRUE(kProtocolNames.parse(to_string(row.kind), &kind)) << row.name;
+    EXPECT_EQ(kind, row.kind);
   }
 }
 
 TEST(Config, ProtocolFromNameAcceptsAliasesCaseInsensitively) {
   ProtocolKind kind;
-  ASSERT_TRUE(protocol_from_name("BASELINE", &kind));
+  ASSERT_TRUE(kProtocolNames.parse("BASELINE", &kind));
   EXPECT_EQ(kind, ProtocolKind::kBaseline);
-  ASSERT_TRUE(protocol_from_name("wi", &kind));
+  ASSERT_TRUE(kProtocolNames.parse("wi", &kind));
   EXPECT_EQ(kind, ProtocolKind::kBaseline);
-  ASSERT_TRUE(protocol_from_name("migratory", &kind));
+  ASSERT_TRUE(kProtocolNames.parse("migratory", &kind));
   EXPECT_EQ(kind, ProtocolKind::kAd);
-  ASSERT_TRUE(protocol_from_name("ls-ad", &kind));
+  ASSERT_TRUE(kProtocolNames.parse("ls-ad", &kind));
   EXPECT_EQ(kind, ProtocolKind::kLsAd);
-  ASSERT_TRUE(protocol_from_name("hybrid", &kind));
+  ASSERT_TRUE(kProtocolNames.parse("hybrid", &kind));
   EXPECT_EQ(kind, ProtocolKind::kLsAd);
-  EXPECT_FALSE(protocol_from_name("", &kind));
-  EXPECT_FALSE(protocol_from_name("mesif", &kind));
+  EXPECT_FALSE(kProtocolNames.parse("", &kind));
+  EXPECT_FALSE(kProtocolNames.parse("mesif", &kind));
+}
+
+TEST(NameTable, EveryEnumParsesItsNamesAndAliases) {
+  Topology topology;
+  ASSERT_TRUE(kTopologyNames.parse("XBAR", &topology));
+  EXPECT_EQ(topology, Topology::kCrossbar);
+  ASSERT_TRUE(kTopologyNames.parse("mesh", &topology));
+  EXPECT_EQ(topology, Topology::kMesh2D);
+  EXPECT_FALSE(kTopologyNames.parse("torus", &topology));
+  ConsistencyModel model;
+  ASSERT_TRUE(kConsistencyNames.parse("pc", &model));
+  EXPECT_EQ(model, ConsistencyModel::kPc);
+  BusArbitration arbitration;
+  ASSERT_TRUE(kBusArbitrationNames.parse("RR", &arbitration));
+  EXPECT_EQ(arbitration, BusArbitration::kRoundRobin);
+  InterconnectKind net;
+  ASSERT_TRUE(kInterconnectNames.parse("snoop", &net));
+  EXPECT_EQ(net, InterconnectKind::kBus);
+  EXPECT_STREQ(to_string(static_cast<Topology>(7)), "?");
+}
+
+TEST(NameTable, ParseListDropsDuplicatesAndNamesTheBadElement) {
+  std::vector<DirectoryKind> kinds;
+  std::string error;
+  ASSERT_TRUE(kDirectoryNames.parse_list("sparse,FULL,full-map,sparse",
+                                         "--directories", &kinds, &error));
+  EXPECT_EQ(kinds, (std::vector<DirectoryKind>{DirectoryKind::kSparse,
+                                               DirectoryKind::kFullMap}));
+  EXPECT_FALSE(kDirectoryNames.parse_list("sparse,,coarse", "--directories",
+                                          &kinds, &error));
+  EXPECT_EQ(kinds.size(), 2u) << "failure leaves the output untouched";
+  EXPECT_EQ(error,
+            "unknown directory organisation '' in --directories "
+            "sparse,,coarse (registered: full-map, limited-ptr, coarse, "
+            "sparse)");
 }
 
 }  // namespace

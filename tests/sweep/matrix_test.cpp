@@ -23,22 +23,6 @@ SweepAxes small_axes() {
   return axes;
 }
 
-std::vector<DirectoryKind> all_directories() {
-  std::vector<DirectoryKind> kinds;
-  for (const DirectoryNameEntry& entry : kDirectoryNameTable) {
-    kinds.push_back(entry.kind);
-  }
-  return kinds;
-}
-
-std::vector<InterconnectKind> all_interconnects() {
-  std::vector<InterconnectKind> kinds;
-  for (const InterconnectNameEntry& entry : kInterconnectNameTable) {
-    kinds.push_back(entry.kind);
-  }
-  return kinds;
-}
-
 TEST(SweepMatrix, ExpandsCrossProductInDocumentedOrder) {
   SweepMatrix matrix;
   std::string error;
@@ -75,8 +59,8 @@ TEST(SweepMatrix, GenerationIsDeterministic) {
 TEST(SweepMatrix, HashesAreUniqueAcrossCells) {
   SweepAxes axes = small_axes();
   axes.protocols = all_protocol_kinds();
-  axes.directories = all_directories();
-  axes.interconnects = all_interconnects();
+  axes.directories = kDirectoryNames.all();
+  axes.interconnects = kInterconnectNames.all();
   axes.node_counts = {2, 4, 8};
   SweepMatrix matrix;
   std::string error;
@@ -157,8 +141,8 @@ TEST(SweepMatrix, RealisticAxesYieldAtLeast500ValidConfigs) {
   SweepAxes axes = small_axes();
   axes.workloads = {"pingpong", "private", "readmostly"};
   axes.protocols = all_protocol_kinds();
-  axes.directories = all_directories();
-  axes.interconnects = all_interconnects();
+  axes.directories = kDirectoryNames.all();
+  axes.interconnects = kInterconnectNames.all();
   axes.node_counts = {2, 4, 8, 16};
   axes.exclude = {"/Dragon/"};  // A filter expression, as the floor asks.
   SweepMatrix matrix;

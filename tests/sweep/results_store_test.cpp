@@ -215,6 +215,27 @@ TEST(ResultsStore, UnknownRecordKindsAreSkippedNotFatal) {
   EXPECT_EQ(records.size(), 1u);
 }
 
+TEST(ResultsStore, RecordRejectsNumbersThatDoNotFitTheirField) {
+  const std::pair<const char*, Json> cases[] = {
+      {"l1_bytes", Json(std::uint64_t{1} << 32)},
+      {"nodes", Json(std::uint64_t{5000000000})},
+      {"seed", Json(1e30)},
+      {"block_bytes", Json(-5.0)},
+      {"l2_bytes", Json(2.5)},
+  };
+  for (const auto& [key, value] : cases) {
+    Json json = sweep_record_to_json(sample_record(1));
+    for (auto& [k, v] : json.as_object()) {
+      if (k == key) v = value;
+    }
+    SweepRecord back;
+    std::string error;
+    EXPECT_FALSE(sweep_record_from_json(json, &back, &error)) << key;
+    EXPECT_NE(error.find(std::string("'") + key + "'"), std::string::npos)
+        << error;
+  }
+}
+
 TEST(ResultsStore, RecordJsonRoundTrip) {
   const SweepRecord record = sample_record(0xabcdef0123456789ull);
   const Json json = sweep_record_to_json(record);

@@ -38,6 +38,30 @@ TEST(JsonTest, NegativeAndFractionalNumbersAreDoubles) {
   EXPECT_DOUBLE_EQ(frac.as_double(), 25.0);
 }
 
+TEST(JsonTest, ToUintAcceptsOnlyWholeNumbersInRange) {
+  const auto parse = [](const char* text) {
+    std::string error;
+    const Json json = Json::parse(text, &error);
+    EXPECT_TRUE(error.empty()) << text << ": " << error;
+    return json;
+  };
+  constexpr std::uint64_t kMax64 = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kMax32 = std::numeric_limits<std::uint32_t>::max();
+  std::uint64_t v = 0;
+  EXPECT_FALSE(parse("1e30").to_uint(kMax64, &v));
+  EXPECT_EQ(parse("1e30").as_uint(), kMax64);  // Saturates; no UB.
+  EXPECT_FALSE(parse("-5").to_uint(kMax64, &v));
+  EXPECT_FALSE(parse("2.5").to_uint(kMax64, &v));
+  EXPECT_FALSE(parse("\"7\"").to_uint(kMax64, &v));
+  EXPECT_FALSE(parse("4294967296").to_uint(kMax32, &v));
+  ASSERT_TRUE(parse("4294967295").to_uint(kMax32, &v));
+  EXPECT_EQ(v, kMax32);
+  ASSERT_TRUE(parse("3.0").to_uint(kMax32, &v));
+  EXPECT_EQ(v, 3u);
+  ASSERT_TRUE(parse("18446744073709551615").to_uint(kMax64, &v));
+  EXPECT_EQ(v, kMax64);
+}
+
 TEST(JsonTest, ObjectPreservesInsertionOrder) {
   Json::Object o;
   o.emplace_back("zebra", Json(1));

@@ -104,6 +104,56 @@ TEST(ManifestTest, MissingSchemaVersionIsRejected) {
   EXPECT_FALSE(error.empty());
 }
 
+// Counters and machine values take whole numbers that fit their field;
+// anything else is refused with the field's name, never converted.
+TEST(ManifestTest, RejectsCountersThatAreNotWholeNumbers) {
+  const char* const cases[][2] = {
+      {R"({"accesses": 1e30})", "'accesses'"},
+      {R"({"accesses": -5})", "'accesses'"},
+      {R"({"accesses": 2.5})", "'accesses'"},
+      {R"({"time": {"busy": -1}})", "'time.busy'"},
+      {R"({"read_miss_home": [1, 2, 0.5, 4]})", "'read_miss_home.2'"},
+  };
+  for (const auto& [text, field] : cases) {
+    std::string error;
+    const Json json = Json::parse(text, &error);
+    ASSERT_TRUE(error.empty()) << error;
+    RunResult result;
+    EXPECT_FALSE(run_result_from_json(json, &result, &error)) << text;
+    EXPECT_NE(error.find(field), std::string::npos) << error;
+  }
+}
+
+TEST(ManifestTest, RejectsMachineValuesThatOverflowTheirField) {
+  const char* const cases[][2] = {
+      {R"({"l1": {"size_bytes": 4294967296}})", "'size_bytes'"},
+      {R"({"num_nodes": 5000000000})", "'num_nodes'"},
+      {R"({"directory_pointers": 256})", "'directory_pointers'"},
+  };
+  for (const auto& [machine, field] : cases) {
+    const std::string text = std::string(R"({"schema_version": 3, )") +
+                             R"("machine": )" + machine + R"(, "runs": []})";
+    RunManifest back;
+    std::string error;
+    EXPECT_FALSE(manifest_from_text(text, &back, &error)) << machine;
+    EXPECT_NE(error.find(field), std::string::npos) << error;
+  }
+}
+
+TEST(ManifestTest, MachineNamesAcceptAliasesCaseInsensitively) {
+  const char* text = R"({"schema_version": 3, "runs": [], "machine": {
+      "topology": "Mesh", "consistency": "pc", "interconnect": "SNOOP",
+      "bus_arbitration": "RR", "directory": "dir-ib"}})";
+  RunManifest back;
+  std::string error;
+  ASSERT_TRUE(manifest_from_text(text, &back, &error)) << error;
+  EXPECT_EQ(back.machine.topology, Topology::kMesh2D);
+  EXPECT_EQ(back.machine.consistency, ConsistencyModel::kPc);
+  EXPECT_EQ(back.machine.interconnect, InterconnectKind::kBus);
+  EXPECT_EQ(back.machine.bus_arbitration, BusArbitration::kRoundRobin);
+  EXPECT_EQ(back.machine.directory_scheme, DirectoryKind::kLimitedPtr);
+}
+
 TEST(ManifestTest, UnknownFieldsAreIgnored) {
   // Additions keep the schema version; older consumers (and this parser)
   // must skip fields they do not understand.

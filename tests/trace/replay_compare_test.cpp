@@ -59,7 +59,7 @@ TEST(ReplayCompare, SameProtocolReplayBitIdenticalAcrossMatrix) {
   // empty diff. Ping-pong is feedback-SENSITIVE — which is the point:
   // same-protocol agreement must not depend on the workload.
   for (ProtocolKind protocol : all_protocol_kinds()) {
-    for (DirectoryKind directory : all_directory_kinds()) {
+    for (DirectoryKind directory : kDirectoryNames.all()) {
       MachineConfig cfg = small_cfg();
       cfg.protocol.kind = protocol;
       cfg.directory_scheme = directory;
@@ -151,7 +151,7 @@ TEST(ReplayCompare, MatrixParallelFanoutMatchesSerial) {
       capture_trace(base, pingpong_builder(), /*seed=*/1, "pingpong");
   const ReplayCompareEngine engine(captured.trace, base);
   const std::vector<ProtocolKind> protocols = all_protocol_kinds();
-  const std::vector<DirectoryKind> directories = all_directory_kinds();
+  const std::vector<DirectoryKind> directories = kDirectoryNames.all();
   const std::vector<RunResult> serial =
       engine.replay_matrix(protocols, directories, /*jobs=*/1);
   const std::vector<RunResult> parallel =

@@ -128,6 +128,10 @@ TEST(Trace, LoadRejectsOutOfRangeFieldsNamingFieldAndRecord) {
             "corrupt lssim trace file: record 1 has size 3");
   EXPECT_EQ(load_error([](TraceRecord& r) { r.tag = kNumStreamTags; }),
             "corrupt lssim trace file: record 1 has tag 3");
+  // No machine has node 300 (kMaxNodes is 256), although the v2 16-bit
+  // field can carry it.
+  EXPECT_EQ(load_error([](TraceRecord& r) { r.node = 300; }),
+            "corrupt lssim trace file: record 1 has node 300");
   EXPECT_EQ(load_error([](TraceRecord&) {}), "");  // In range: loads.
 }
 
@@ -201,14 +205,14 @@ TEST(Trace, MetaRoundTrips) {
   r.wdata = 7;
   r.expected = 9;
   r.site = 12;
-  r.node = 300;  // > 255: needs the v2 16-bit node field.
+  r.node = kMaxNodes - 1;  // 255: the largest node id a machine has.
   trace.append(r);
   std::stringstream buffer;
   trace.save(buffer);
   const Trace loaded = Trace::load(buffer);
   EXPECT_EQ(trace, loaded);
   EXPECT_EQ(loaded.meta().workload, "pingpong");
-  EXPECT_EQ(loaded.records()[0].node, 300);
+  EXPECT_EQ(loaded.records()[0].node, kMaxNodes - 1);
 }
 
 namespace v1 {

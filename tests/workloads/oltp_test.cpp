@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../coherence_check.hpp"
 #include "workloads/harness.hpp"
 
 namespace lssim {
@@ -41,7 +42,7 @@ TEST(Oltp, CoherenceInvariantsHoldAfterRun) {
   System sys(oltp_cfg(ProtocolKind::kLs));
   build_oltp(sys, small_params());
   sys.run();
-  EXPECT_TRUE(sys.memory().check_coherence_invariants());
+  EXPECT_EQ(coherence_violations(sys.memory()), kNoViolations);
 }
 
 TEST(Oltp, AllStreamComponentsAppear) {

@@ -24,7 +24,6 @@
 
 #include "check/explorer.hpp"
 #include "check/fuzzer.hpp"
-#include "core/protocol_registry.hpp"
 #include "exec/heartbeat.hpp"
 
 namespace {
@@ -102,12 +101,12 @@ std::vector<ProtocolKind> parse_protocols(std::vector<std::string>& args) {
   if (!take_value(args, "--protocol", &name)) {
     return {};  // All registered.
   }
-  const ProtocolInfo* info = find_protocol(name);
-  if (info == nullptr) {
+  ProtocolKind kind;
+  if (!kProtocolNames.parse(name, &kind)) {
     usage_error("unknown protocol '" + name +
-                "' (known: " + registered_protocol_names() + ")");
+                "' (known: " + kProtocolNames.joined() + ")");
   }
-  return {info->kind};
+  return {kind};
 }
 
 /// Writes retained repros as out_dir/<stem>-<index>.repro; returns false

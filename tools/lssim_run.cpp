@@ -16,8 +16,6 @@
 #include <iostream>
 #include <memory>
 
-#include "core/directory_registry.hpp"
-#include "core/protocol_registry.hpp"
 #include "driver/options.hpp"
 #include "driver/runner.hpp"
 #include "exec/heartbeat.hpp"
@@ -40,21 +38,12 @@ int main(int argc, char** argv) {
   if (options.list_mode()) {
     // Discovery flags: canonical registry names, one per line, so shell
     // scripts can build sweep matrices without hardcoding the family.
-    if (options.list_protocols) {
-      for (const ProtocolInfo& info : registered_protocols()) {
-        std::printf("%s\n", info.name);
-      }
-    }
-    if (options.list_directories) {
-      for (const DirectoryInfo& info : registered_directories()) {
-        std::printf("%s\n", info.name);
-      }
-    }
-    if (options.list_interconnects) {
-      for (const InterconnectNameEntry& entry : kInterconnectNameTable) {
-        std::printf("%s\n", entry.name);
-      }
-    }
+    const auto list = [](const auto& table) {
+      for (const auto& row : table.rows) std::printf("%s\n", row.name);
+    };
+    if (options.list_protocols) list(kProtocolNames);
+    if (options.list_directories) list(kDirectoryNames);
+    if (options.list_interconnects) list(kInterconnectNames);
     return 0;
   }
   if (!driver_knows_workload(options.workload)) {
@@ -176,7 +165,7 @@ int main(int argc, char** argv) {
         if (options.directories.size() > 1) {
           std::fprintf(stderr, "lssim_run: [%s@%s] %s\n",
                        to_string(run.result.protocol),
-                       directory_name(run.result.directory),
+                       to_string(run.result.directory),
                        message.c_str());
         } else {
           std::fprintf(stderr, "lssim_run: [%s] %s\n",

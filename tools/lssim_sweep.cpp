@@ -174,30 +174,27 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage("--protocols needs a list");
       if (std::strcmp(v, "all") == 0) {
         axes.protocols = all_protocol_kinds();
-      } else if (!resolve_protocol_list(v, &axes.protocols, &error)) {
+      } else if (!kProtocolNames.parse_list(v, "--protocols",
+                                            &axes.protocols, &error)) {
         return usage(error.c_str());
       }
     } else if (std::strcmp(argv[i], "--directories") == 0) {
       const char* v = value("--directories");
       if (v == nullptr) return usage("--directories needs a list");
       if (std::strcmp(v, "all") == 0) {
-        axes.directories.clear();
-        for (const DirectoryNameEntry& entry : kDirectoryNameTable) {
-          axes.directories.push_back(entry.kind);
-        }
-      } else if (!resolve_directory_list(v, &axes.directories, &error)) {
+        axes.directories = kDirectoryNames.all();
+      } else if (!kDirectoryNames.parse_list(v, "--directories",
+                                             &axes.directories, &error)) {
         return usage(error.c_str());
       }
     } else if (std::strcmp(argv[i], "--interconnects") == 0) {
       const char* v = value("--interconnects");
       if (v == nullptr) return usage("--interconnects needs a list");
       if (std::strcmp(v, "all") == 0) {
-        axes.interconnects.clear();
-        for (const InterconnectNameEntry& entry : kInterconnectNameTable) {
-          axes.interconnects.push_back(entry.kind);
-        }
-      } else if (!resolve_interconnect_list(v, &axes.interconnects,
-                                            &error)) {
+        axes.interconnects = kInterconnectNames.all();
+      } else if (!kInterconnectNames.parse_list(v, "--interconnects",
+                                                &axes.interconnects,
+                                                &error)) {
         return usage(error.c_str());
       }
     } else if (std::strcmp(argv[i], "--nodes") == 0) {
