@@ -289,11 +289,13 @@ void BM_ExportAuditJsonl(benchmark::State& state) {
   for (std::size_t i = 0; i < kRecords; ++i) {
     now += rng.next_below(200);
     const bool tag = rng.next_bool(0.75);
-    log.record(now, rng.next_below(1 << 19) * 32,
-               static_cast<NodeId>(rng.next_below(4)),
-               tag ? TagAuditEvent::kTag : TagAuditEvent::kDetag,
-               tag ? TagReason::kLsSequence : TagReason::kForeignAccess, 0,
-               0, tag);
+    log.record({.time = now,
+                .block = rng.next_below(1 << 19) * 32,
+                .node = static_cast<NodeId>(rng.next_below(4)),
+                .kind = tag ? ProtoEventKind::kTag : ProtoEventKind::kDetag,
+                .tagged = tag,
+                .reason = tag ? TagReason::kLsSequence
+                              : TagReason::kForeignAccess});
   }
   StringSink sink;
   std::ostream os(&sink);

@@ -31,10 +31,11 @@ int main() {
   using namespace lssim;
 
   MachineConfig cfg = MachineConfig::scientific_default(ProtocolKind::kLs);
-  cfg.event_log_capacity = 64;  // Keep the protocol event trail.
+  cfg.telemetry.event_log_capacity = 64;  // Keep the protocol event trail.
   AddressSpace space(cfg.num_nodes, cfg.page_bytes);
   Stats stats(cfg.num_nodes);
-  MemorySystem ms(cfg, space, stats);
+  Telemetry telemetry(cfg.telemetry);
+  MemorySystem ms(cfg, space, stats, &telemetry);
 
   const Addr a = 0;  // Home node 0.
   Cycles now = 0;
@@ -66,7 +67,7 @@ int main() {
 
   std::printf("\nprotocol event log:\n");
   std::ostringstream log_text;
-  ms.event_log().dump(log_text);
+  telemetry.event_log().dump(log_text);
   std::fputs(log_text.str().c_str(), stdout);
   return 0;
 }

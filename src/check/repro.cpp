@@ -15,6 +15,31 @@ constexpr const char* kHeader = "lssim-repro v1";
                            std::to_string(line) + ": " + what);
 }
 
+/// Reads `field` as an integer in [lo, hi], checked before the caller
+/// narrows it to the config field's type.
+long long read_int(std::istringstream& ls, int line, const char* field,
+                   long long lo, long long hi) {
+  long long v = 0;
+  if (!(ls >> v)) {
+    parse_fail(line, "missing or malformed " + std::string(field));
+  }
+  if (v < lo || v > hi) {
+    parse_fail(line, std::string(field) + " " + std::to_string(v) +
+                         " out of range [" + std::to_string(lo) + ", " +
+                         std::to_string(hi) + "]");
+  }
+  return v;
+}
+
+/// Rejects anything left on `key`'s line.
+void expect_line_end(std::istringstream& ls, int line,
+                     const std::string& key) {
+  std::string extra;
+  if (ls >> extra) {
+    parse_fail(line, "trailing token '" + extra + "' after " + key);
+  }
+}
+
 }  // namespace
 
 std::string to_string(const ReproAccess& access) {
@@ -60,10 +85,12 @@ void save_repro(std::ostream& os, const ReproTrace& trace) {
 
 ReproTrace load_repro(std::istream& is) {
   ReproTrace trace;
+  MachineConfig& m = trace.machine;
   std::string line;
   int line_no = 0;
   bool saw_header = false;
   bool saw_end = false;
+  std::vector<int> access_lines;  // Index-aligned with trace.accesses.
 
   while (std::getline(is, line)) {
     ++line_no;
@@ -82,62 +109,58 @@ ReproTrace load_repro(std::istream& is) {
     std::string key;
     ls >> key;
     if (key == "end") {
+      expect_line_end(ls, line_no, key);
       saw_end = true;
       break;
     }
     if (key == "protocol") {
       std::string name;
       ls >> name;
-      if (!kProtocolNames.parse(name, &trace.machine.protocol.kind)) {
+      if (!kProtocolNames.parse(name, &m.protocol.kind)) {
         parse_fail(line_no, "unknown protocol " + name);
       }
     } else if (key == "nodes") {
-      int n = 0;
-      ls >> n;
-      if (!ls || n < 1 || n > kMaxNodes) parse_fail(line_no, "bad nodes");
-      trace.machine.num_nodes = n;
+      m.num_nodes = static_cast<int>(
+          read_int(ls, line_no, "nodes", 1, kMaxNodes));
     } else if (key == "l1" || key == "l2") {
-      CacheConfig cache;
-      ls >> cache.size_bytes >> cache.assoc >> cache.block_bytes;
-      if (!ls) parse_fail(line_no, "bad cache geometry");
-      (key == "l1" ? trace.machine.l1 : trace.machine.l2) = cache;
+      CacheConfig& cache = key == "l1" ? m.l1 : m.l2;
+      const std::string prefix = key + " ";
+      constexpr long long kMaxU32 = 0xffffffffLL;
+      cache.size_bytes = static_cast<std::uint32_t>(
+          read_int(ls, line_no, (prefix + "size").c_str(), 0, kMaxU32));
+      cache.assoc = static_cast<std::uint32_t>(
+          read_int(ls, line_no, (prefix + "assoc").c_str(), 0, kMaxU32));
+      cache.block_bytes = static_cast<std::uint32_t>(
+          read_int(ls, line_no, (prefix + "block").c_str(), 0, kMaxU32));
     } else if (key == "default_tagged") {
-      int v = 0;
-      ls >> v;
-      trace.machine.protocol.default_tagged = v != 0;
+      m.protocol.default_tagged = read_int(ls, line_no, key.c_str(), 0, 1) != 0;
     } else if (key == "tag_hysteresis") {
-      int v = 1;
-      ls >> v;
-      trace.machine.protocol.tag_hysteresis = static_cast<std::uint8_t>(v);
+      m.protocol.tag_hysteresis = static_cast<std::uint8_t>(
+          read_int(ls, line_no, key.c_str(), 0, 255));
     } else if (key == "detag_hysteresis") {
-      int v = 1;
-      ls >> v;
-      trace.machine.protocol.detag_hysteresis = static_cast<std::uint8_t>(v);
+      m.protocol.detag_hysteresis = static_cast<std::uint8_t>(
+          read_int(ls, line_no, key.c_str(), 0, 255));
     } else if (key == "keep_tag_on_lone_write") {
-      int v = 0;
-      ls >> v;
-      trace.machine.protocol.keep_tag_on_lone_write = v != 0;
+      m.protocol.keep_tag_on_lone_write =
+          read_int(ls, line_no, key.c_str(), 0, 1) != 0;
     } else if (key == "ad_detag_on_replacement") {
-      int v = 1;
-      ls >> v;
-      trace.machine.protocol.ad_detag_on_replacement = v != 0;
+      m.protocol.ad_detag_on_replacement =
+          read_int(ls, line_no, key.c_str(), 0, 1) != 0;
     } else if (key == "directory") {
       // "directory <name> <pointers> [<region> <entries>]" — the two
       // trailing knobs are optional so pre-existing repros still load.
       std::string scheme;
-      int pointers = 4;
-      ls >> scheme >> pointers;
-      DirectoryKind kind;
-      if (!kDirectoryNames.parse(scheme, &kind)) {
+      ls >> scheme;
+      if (!kDirectoryNames.parse(scheme, &m.directory_scheme)) {
         parse_fail(line_no, "unknown directory organisation " + scheme);
       }
-      trace.machine.directory_scheme = kind;
-      trace.machine.directory_pointers = static_cast<std::uint8_t>(pointers);
-      unsigned region = 0;
-      unsigned entries = 0;
-      if (ls >> region >> entries) {
-        trace.machine.directory_region = static_cast<std::uint16_t>(region);
-        trace.machine.directory_entries = entries;
+      m.directory_pointers = static_cast<std::uint8_t>(
+          read_int(ls, line_no, "directory pointers", 0, 255));
+      if (!(ls >> std::ws).eof()) {
+        m.directory_region = static_cast<std::uint16_t>(
+            read_int(ls, line_no, "directory region", 0, 0xffff));
+        m.directory_entries = static_cast<std::uint32_t>(
+            read_int(ls, line_no, "directory entries", 0, 0xffffffffLL));
       }
     } else if (key == "interconnect") {
       // "interconnect <name> [<arbitration>]" — optional as a whole so
@@ -145,47 +168,61 @@ ReproTrace load_repro(std::istream& is) {
       // network, the only transport that existed when they were saved).
       std::string name;
       ls >> name;
-      InterconnectKind net;
-      if (!kInterconnectNames.parse(name, &net)) {
+      if (!kInterconnectNames.parse(name, &m.interconnect)) {
         parse_fail(line_no, "unknown interconnect " + name);
       }
-      trace.machine.interconnect = net;
       std::string arb;
-      if (ls >> arb) {
-        BusArbitration a;
-        if (!kBusArbitrationNames.parse(arb, &a)) {
-          parse_fail(line_no, "unknown bus arbitration " + arb);
-        }
-        trace.machine.bus_arbitration = a;
+      if (ls >> arb && !kBusArbitrationNames.parse(arb, &m.bus_arbitration)) {
+        parse_fail(line_no, "unknown bus arbitration " + arb);
       }
     } else if (key == "access") {
+      // "access <node> <op> <addr> <size> <wdata> [<expected>]", hex
+      // addresses and values.
       ReproAccess access;
-      int node = 0;
+      access.node = static_cast<NodeId>(
+          read_int(ls, line_no, "access node", 0, kMaxNodes - 1));
       std::string op;
-      int size = 0;
-      ls >> node >> op >> std::hex >> access.addr >> std::dec >> size >>
-          std::hex >> access.wdata;
-      if (!ls) parse_fail(line_no, "malformed access");
+      ls >> op;
       if (!kReproOpNames.parse(op, &access.op)) {
         parse_fail(line_no, "unknown op " + op);
       }
-      if (access.op == MemOpKind::kCas) {
-        ls >> access.expected;
-        if (!ls) parse_fail(line_no, "CAS access missing expected value");
+      if (!(ls >> std::hex >> access.addr)) {
+        parse_fail(line_no, "missing or malformed access address");
       }
-      if (node < 0 || node >= kMaxNodes) parse_fail(line_no, "bad node");
+      ls >> std::dec;
+      const long long size = read_int(ls, line_no, "access size", 1, 8);
       if (size != 1 && size != 2 && size != 4 && size != 8) {
-        parse_fail(line_no, "bad size");
+        parse_fail(line_no, "access size " + std::to_string(size) +
+                                " is not 1, 2, 4 or 8");
       }
-      access.node = static_cast<NodeId>(node);
+      if (!(ls >> std::hex >> access.wdata)) {
+        parse_fail(line_no, "missing or malformed access data");
+      }
+      if (access.op == MemOpKind::kCas && !(ls >> access.expected)) {
+        parse_fail(line_no, "CAS access missing expected value");
+      }
       access.size = static_cast<std::uint8_t>(size);
       trace.accesses.push_back(access);
+      access_lines.push_back(line_no);
     } else {
       parse_fail(line_no, "unknown key '" + key + "'");
     }
+    expect_line_end(ls, line_no, key);
   }
   if (!saw_header) parse_fail(line_no, "missing header");
   if (!saw_end) parse_fail(line_no, "missing 'end' terminator");
+  // The machine is whole once every line is read: validate it once, then
+  // the accesses against its node count.
+  if (const std::string problem = m.validate(); !problem.empty()) {
+    parse_fail(line_no, "invalid machine: " + problem);
+  }
+  for (std::size_t i = 0; i < trace.accesses.size(); ++i) {
+    if (trace.accesses[i].node >= m.num_nodes) {
+      parse_fail(access_lines[i],
+                 "access node " + std::to_string(trace.accesses[i].node) +
+                     " not below nodes " + std::to_string(m.num_nodes));
+    }
+  }
   return trace;
 }
 

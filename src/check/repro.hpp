@@ -70,8 +70,10 @@ inline constexpr NameTable<MemOpKind, 5> kReproOpNames{
 ///   end
 void save_repro(std::ostream& os, const ReproTrace& trace);
 
-/// Parses the text format; throws std::runtime_error with a line number
-/// on malformed input or an unsupported version.
+/// Parses the text format; throws std::runtime_error naming the line and
+/// field on malformed input, an unsupported version, an out-of-range
+/// value, a trailing token, an access node at or above `nodes`, or a
+/// machine MachineConfig::validate() rejects.
 [[nodiscard]] ReproTrace load_repro(std::istream& is);
 
 /// Convenience wrappers over save/load. load_repro_file throws

@@ -28,10 +28,8 @@ MemorySystem::MemorySystem(const MachineConfig& config, AddressSpace& space,
            policy_->supports_default_tagged()),
       fs_(config.classify_false_sharing, stats),
       oracle_(true),
-      log_(config.event_log_capacity),
-      metrics_(telemetry != nullptr ? telemetry->metrics() : nullptr),
-      trace_(telemetry != nullptr ? telemetry->trace() : nullptr),
-      audit_(telemetry != nullptr ? telemetry->audit() : nullptr) {
+      telemetry_(telemetry != nullptr && telemetry->enabled() ? telemetry
+                                                               : nullptr) {
   assert(config.validate().empty());
   snoops_ = net_->snoops();
   update_mode_ = policy_->writes_update_sharers();
@@ -48,33 +46,16 @@ MemorySystem::MemorySystem(const MachineConfig& config, AddressSpace& space,
   }
   parked_block_.assign(static_cast<std::size_t>(config.num_nodes),
                        kNotParked);
+  MetricsRegistry* metrics =
+      telemetry_ != nullptr ? telemetry_->metrics() : nullptr;
   caches_.reserve(static_cast<std::size_t>(config.num_nodes));
   for (int n = 0; n < config.num_nodes; ++n) {
     caches_.emplace_back(config.l1, config.l2);
-    caches_.back().attach_telemetry(metrics_, static_cast<NodeId>(n));
+    caches_.back().attach_telemetry(metrics, static_cast<NodeId>(n));
   }
-  dir_.attach_telemetry(metrics_);
-  if (metrics_ != nullptr) {
-    // Pre-register one counter per (node, protocol event kind) so the
-    // hot path is a single indexed bump behind a stable handle.
-    ev_counters_.resize(static_cast<std::size_t>(config.num_nodes));
-    for (int n = 0; n < config.num_nodes; ++n) {
-      const MetricLabels labels{{"node", std::to_string(n)}};
-      for (int k = 0; k < kNumProtoEventKinds; ++k) {
-        const auto kind = static_cast<ProtoEventKind>(k);
-        ev_counters_[static_cast<std::size_t>(n)]
-                    [static_cast<std::size_t>(k)] = metrics_->counter(
-                        std::string("coherence.") + to_string(kind), labels);
-      }
-    }
-    // Ownership-latency profiling: one histogram per transaction kind,
-    // fed with issue->grant cycles at the end of each global transaction.
-    lat_read_miss_ =
-        metrics_->histogram("ownership.latency", {{"op", "read-miss"}});
-    lat_write_miss_ =
-        metrics_->histogram("ownership.latency", {{"op", "write-miss"}});
-    lat_upgrade_ =
-        metrics_->histogram("ownership.latency", {{"op", "upgrade"}});
+  dir_.attach_telemetry(metrics);
+  if (telemetry_ != nullptr) {
+    telemetry_->attach_engine(config.num_nodes);
   }
 }
 
@@ -134,54 +115,48 @@ std::uint64_t MemorySystem::apply_data(const AccessRequest& req) {
   return 0;
 }
 
+// Tag decisions are stamped with the in-flight access's issue time.
 void MemorySystem::tag_event(DirEntry& entry, TagReason reason, Addr block,
                              NodeId node) {
-  // Positive evidence resets any de-tag hysteresis progress; audit the
+  // Positive evidence resets any de-tag hysteresis progress; emit the
   // reset only when it actually rewinds a counter.
   if (entry.detag_progress != 0) {
     entry.detag_progress = 0;
-    audit_event(TagAuditEvent::kDetagProgress, reason, entry, block, node);
+    emit(ProtoEventKind::kDetagProgress, node, block, current_time_, entry,
+         /*end=*/0, reason);
   }
   if (entry.tagged) {
     return;
   }
-  if (++entry.tag_progress >= cfg_.protocol.tag_hysteresis) {
+  const bool crossed = ++entry.tag_progress >= cfg_.protocol.tag_hysteresis;
+  if (crossed) {
     entry.tagged = true;
     entry.tag_progress = 0;
     stats_.blocks_tagged += 1;
-    log_.record(current_time_, ProtoEventKind::kTag, current_block_,
-                current_node_, entry.state, true);
-    count_event(current_node_, ProtoEventKind::kTag);
-    trace_instant(current_node_, ProtoEventKind::kTag, current_block_,
-                  current_time_);
-    audit_event(TagAuditEvent::kTag, reason, entry, block, node);
-  } else {
-    audit_event(TagAuditEvent::kTagProgress, reason, entry, block, node);
   }
+  emit(crossed ? ProtoEventKind::kTag : ProtoEventKind::kTagProgress, node,
+       block, current_time_, entry, /*end=*/0, reason);
 }
 
 void MemorySystem::detag_event(DirEntry& entry, TagReason reason, Addr block,
                                NodeId node) {
   if (entry.tag_progress != 0) {
     entry.tag_progress = 0;
-    audit_event(TagAuditEvent::kTagProgress, reason, entry, block, node);
+    emit(ProtoEventKind::kTagProgress, node, block, current_time_, entry,
+         /*end=*/0, reason);
   }
   if (!entry.tagged) {
     return;
   }
-  if (++entry.detag_progress >= cfg_.protocol.detag_hysteresis) {
+  const bool crossed =
+      ++entry.detag_progress >= cfg_.protocol.detag_hysteresis;
+  if (crossed) {
     entry.tagged = false;
     entry.detag_progress = 0;
     stats_.blocks_detagged += 1;
-    log_.record(current_time_, ProtoEventKind::kDetag, current_block_,
-                current_node_, entry.state, false);
-    count_event(current_node_, ProtoEventKind::kDetag);
-    trace_instant(current_node_, ProtoEventKind::kDetag, current_block_,
-                  current_time_);
-    audit_event(TagAuditEvent::kDetag, reason, entry, block, node);
-  } else {
-    audit_event(TagAuditEvent::kDetagProgress, reason, entry, block, node);
   }
+  emit(crossed ? ProtoEventKind::kDetag : ProtoEventKind::kDetagProgress,
+       node, block, current_time_, entry, /*end=*/0, reason);
 }
 
 void MemorySystem::apply_tag_action(TagAction action, DirEntry& entry,
@@ -252,19 +227,17 @@ void MemorySystem::handle_l2_victim(NodeId node, const CacheLine& victim,
         e.state = DirState::kUncached;
         dirpol_->clear_sharers(e);
       }
-      count_event(node, ProtoEventKind::kReplHint);
+      emit(ProtoEventKind::kReplHint, node, block, t, e);
       if (home != node) {
         net_->send(node, home, MsgType::kReplHint, t);
       }
       break;
     case CacheState::kModified:
-      log_.record(t, ProtoEventKind::kWriteback, block, node, e.state,
-                  e.tagged);
-      count_event(node, ProtoEventKind::kWriteback);
       assert((e.state == DirState::kDirty || e.state == DirState::kExcl) &&
              e.owner == node);
       e.state = DirState::kUncached;
       e.owner = kInvalidNode;
+      emit(ProtoEventKind::kWriteback, node, block, t, e);
       if (home != node) {
         net_->send(node, home, MsgType::kWritebackData, t);
       }
@@ -277,7 +250,7 @@ void MemorySystem::handle_l2_victim(NodeId node, const CacheLine& victim,
       assert(e.state == DirState::kExcl && e.owner == node);
       e.state = DirState::kUncached;
       e.owner = kInvalidNode;
-      count_event(node, ProtoEventKind::kReplHint);
+      emit(ProtoEventKind::kReplHint, node, block, t, e);
       if (home != node) {
         net_->send(node, home, MsgType::kReplHint, t);
       }
@@ -286,9 +259,6 @@ void MemorySystem::handle_l2_victim(NodeId node, const CacheLine& victim,
       // The owner evicts its dirty copy while other caches still share
       // the block: the writeback makes home memory clean again, and the
       // entry downgrades to plain Shared over the surviving sharers.
-      log_.record(t, ProtoEventKind::kWriteback, block, node, e.state,
-                  e.tagged);
-      count_event(node, ProtoEventKind::kWriteback);
       assert(e.state == DirState::kOwned && e.owner == node);
       e.owner = kInvalidNode;
       if (dirpol_->believed_empty(e)) {
@@ -297,6 +267,7 @@ void MemorySystem::handle_l2_victim(NodeId node, const CacheLine& victim,
       } else {
         e.state = DirState::kShared;
       }
+      emit(ProtoEventKind::kWriteback, node, block, t, e);
       if (home != node) {
         net_->send(node, home, MsgType::kWritebackData, t);
       }
@@ -394,9 +365,6 @@ Cycles MemorySystem::do_read_miss(NodeId node, Addr block, Cycles now,
 
   stats_.global_read_misses += 1;
   stats_.data_misses += 1;
-  log_.record(now, ProtoEventKind::kReadMiss, block, node, e.state,
-              e.tagged);
-  count_event(node, ProtoEventKind::kReadMiss);
   stats_.read_miss_home_state[static_cast<std::size_t>(
       classify_home_state(block, e))] += 1;
   oracle_.on_global_read(node, block);
@@ -454,16 +422,13 @@ Cycles MemorySystem::do_read_miss(NodeId node, Addr block, Cycles now,
         apply_tag_action(policy_->on_foreign_access(e), e,
                          TagReason::kForeignAccess, block, node);
         stats_.notls_messages += 1;
-        log_.record(now, ProtoEventKind::kNotLs, block, owner, e.state,
-                    e.tagged);
-        count_event(owner, ProtoEventKind::kNotLs);
-        trace_instant(owner, ProtoEventKind::kNotLs, block, now);
         t = leg_noegress(owner, home, MsgType::kNotLs, t);
         e.state = DirState::kShared;
         dirpol_->clear_sharers(e);
         dirpol_->add_sharer(e, owner);
         dirpol_->add_sharer(e, node);
         e.owner = kInvalidNode;
+        emit(ProtoEventKind::kNotLs, owner, block, now, e);
         t = leg(home, node, MsgType::kDataShared, t);
         t += lat_.fill;
       } else {
@@ -487,10 +452,7 @@ Cycles MemorySystem::do_read_miss(NodeId node, Addr block, Cycles now,
           dirpol_->clear_sharers(e);
           fill_state = CacheState::kLStemp;
           stats_.exclusive_read_replies += 1;
-          log_.record(now, ProtoEventKind::kMigrate, block, node, e.state,
-                      e.tagged);
-          count_event(node, ProtoEventKind::kMigrate);
-          trace_instant(node, ProtoEventKind::kMigrate, block, now);
+          emit(ProtoEventKind::kMigrate, node, block, now, e);
         } else if (policy_->on_dirty_read(e) ==
                    DirtyReadResolution::kOwnerKeeps) {
           // MOESI / Dragon: the owner keeps the dirty block (Owned) and
@@ -568,10 +530,7 @@ Cycles MemorySystem::do_read_miss(NodeId node, Addr block, Cycles now,
         dirpol_->clear_sharers(e);
         fill_state = CacheState::kLStemp;
         stats_.exclusive_read_replies += 1;
-        log_.record(now, ProtoEventKind::kMigrate, block, node, e.state,
-                    e.tagged);
-        count_event(node, ProtoEventKind::kMigrate);
-        trace_instant(node, ProtoEventKind::kMigrate, block, now);
+        emit(ProtoEventKind::kMigrate, node, block, now, e);
       } else {
         t = leg_noegress(owner, node, MsgType::kDataShared, t);
         t += lat_.fill;
@@ -589,8 +548,7 @@ Cycles MemorySystem::do_read_miss(NodeId node, Addr block, Cycles now,
     filled->grant_site = site;
   }
   fs_.on_fill(node, block, *filled);
-  trace_span(node, ProtoEventKind::kReadMiss, block, now, t);
-  observe_latency(lat_read_miss_, t - now);
+  emit(ProtoEventKind::kReadMiss, node, block, now, e, t);
   return t;
 }
 
@@ -602,7 +560,6 @@ Cycles MemorySystem::do_write_global(NodeId node, Addr block, Cycles now,
   stats_.global_write_actions += 1;
   if (!upgrade) {
     stats_.data_misses += 1;
-    count_event(node, ProtoEventKind::kWriteMiss);
   }
 
   // Policy tag rules run on the pre-transition entry (paper §3.1 reads
@@ -629,9 +586,6 @@ Cycles MemorySystem::do_write_global(NodeId node, Addr block, Cycles now,
     // write actions to a block that is Shared (or Owned) in the local
     // cache.
     stats_.ownership_acquisitions += 1;
-    log_.record(now, ProtoEventKind::kUpgrade, block, node, e.state,
-                e.tagged);
-    count_event(node, ProtoEventKind::kUpgrade);
     assert((e.state == DirState::kShared &&
             dirpol_->may_be_sharer(e, node)) ||
            (e.state == DirState::kOwned &&
@@ -904,11 +858,8 @@ Cycles MemorySystem::do_write_global(NodeId node, Addr block, Cycles now,
     handle_l2_victim(node, victim, completion);
     fs_.on_fill(node, block, *caches_[node].l2().find(block));
   }
-  trace_span(node,
-             upgrade ? ProtoEventKind::kUpgrade : ProtoEventKind::kWriteMiss,
-             block, now, completion);
-  observe_latency(upgrade ? lat_upgrade_ : lat_write_miss_,
-                  completion - now);
+  emit(upgrade ? ProtoEventKind::kUpgrade : ProtoEventKind::kWriteMiss, node,
+       block, now, e, completion);
   return completion;
 }
 
@@ -949,10 +900,7 @@ AccessResult MemorySystem::access(NodeId node, const AccessRequest& req,
         line2->state = CacheState::kModified;
         line1->state = CacheState::kModified;
         stats_.eliminated_acquisitions += 1;
-        log_.record(now, ProtoEventKind::kLocalWrite, block, node,
-                    DirState::kExcl, true);
-        count_event(node, ProtoEventKind::kLocalWrite);
-        trace_instant(node, ProtoEventKind::kLocalWrite, block, now);
+        emit_local_write(node, block, now);
         // This store would have been a global write action under the
         // baseline protocol; the home learns about it lazily.
         oracle_.on_global_write(node, block, /*eliminated=*/true, req.tag);
@@ -991,21 +939,16 @@ AccessResult MemorySystem::access(NodeId node, const AccessRequest& req,
       lines.l2->state = CacheState::kModified;
       lines.l1->state = CacheState::kModified;
       stats_.eliminated_acquisitions += 1;
-      log_.record(now, ProtoEventKind::kLocalWrite, block, node,
-                  DirState::kExcl, true);
-      count_event(node, ProtoEventKind::kLocalWrite);
-      trace_instant(node, ProtoEventKind::kLocalWrite, block, now);
+      emit_local_write(node, block, now);
       // This store would have been a global write action under the
       // baseline protocol; the home learns about it lazily.
       oracle_.on_global_write(node, block, /*eliminated=*/true, req.tag);
     }
   } else {
     // Global transaction: publish the in-flight access context for the
-    // oracle/log/audit hooks reached through the tag machinery.
+    // oracle and tag-decision hooks reached through the tag machinery.
     current_tag_ = req.tag;
     current_time_ = now;
-    current_node_ = node;
-    current_block_ = block;
     if (lines.l2 != nullptr) {
       // Write on a Shared (or update-protocol Owned) line: ownership
       // upgrade.

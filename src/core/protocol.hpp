@@ -19,7 +19,6 @@
 // 220 (2-hop clean) or 420 (4-hop read-on-dirty) cycles.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -32,7 +31,6 @@
 #include "net/interconnect.hpp"
 #include "sim/config.hpp"
 #include "sim/types.hpp"
-#include "core/event_log.hpp"
 #include "core/ils_predictor.hpp"
 #include "stats/false_sharing.hpp"
 #include "stats/ls_oracle.hpp"
@@ -82,10 +80,9 @@ struct AccessResult {
 
 class MemorySystem {
  public:
-  /// `telemetry` (optional) attaches the observability layer: per-node
-  /// protocol-event counters in the metrics registry and begin/end spans
-  /// in the coherence trace. Null (the default) keeps every hook to a
-  /// single branch.
+  /// `telemetry` (optional) is the sink every coherence event is emitted
+  /// to, once (telemetry/telemetry.hpp). Null (the default) or a sink
+  /// with every pillar off keeps the hook to a single branch.
   ///
   /// `policy_override` (optional) replaces the registry-resolved policy;
   /// the verification subsystem uses it to inject deliberately buggy
@@ -154,7 +151,6 @@ class MemorySystem {
   [[nodiscard]] const CoherencePolicy& policy() const noexcept {
     return *policy_;
   }
-  [[nodiscard]] const EventLog& event_log() const noexcept { return log_; }
   [[nodiscard]] FalseSharingClassifier& classifier() noexcept { return fs_; }
   /// The coherence transport (directory network or snooping bus; see
   /// net/interconnect.hpp).
@@ -218,40 +214,23 @@ class MemorySystem {
   DirEntry& dir_entry_at(Addr block, Cycles now);
   void evict_directory_entry(Addr incoming, Cycles now);
 
-  /// Telemetry hooks (no-ops when the corresponding pillar is off).
-  void count_event(NodeId node, ProtoEventKind kind) {
-    if (metrics_ != nullptr) {
-      metrics_->add(ev_counters_[node][static_cast<std::size_t>(kind)]);
+  /// The one telemetry hook: every coherence event passes here once, with
+  /// `entry`'s state after the event. One branch when telemetry is off.
+  void emit(ProtoEventKind kind, NodeId node, Addr block, Cycles time,
+            const DirEntry& entry, Cycles end = 0,
+            TagReason reason = TagReason::kLsSequence) {
+    if (telemetry_ != nullptr) {
+      telemetry_->emit({time, end, block, node, kind, entry.state,
+                        entry.tagged, reason, entry.tag_progress,
+                        entry.detag_progress});
     }
   }
-  void trace_span(NodeId node, ProtoEventKind kind, Addr block,
-                  Cycles begin, Cycles end) {
-    if (trace_ != nullptr) {
-      trace_->span(node, kind, block, begin, end);
-    }
-  }
-  void trace_instant(NodeId node, ProtoEventKind kind, Addr block,
-                     Cycles time) {
-    if (trace_ != nullptr) {
-      trace_->instant(node, kind, block, time);
-    }
-  }
-  /// Ownership-latency profiling: one sample per completed coherence
-  /// transaction (issue -> grant, cycles).
-  void observe_latency(HistogramHandle h, Cycles latency) {
-    if (metrics_ != nullptr) {
-      metrics_->observe(h, latency);
-    }
-  }
-  /// Tag-decision audit: records `entry`'s state AFTER the transition.
-  /// `block`/`node` are passed explicitly (not taken from current_*)
-  /// because victim writebacks audit a different block than the one the
-  /// in-flight access targets.
-  void audit_event(TagAuditEvent event, TagReason reason,
-                   const DirEntry& entry, Addr block, NodeId node) {
-    if (audit_ != nullptr) {
-      audit_->record(current_time_, block, node, event, reason,
-                     entry.tag_progress, entry.detag_progress, entry.tagged);
+  /// A store completing locally in LStemp; looks the home entry up only
+  /// when telemetry is on.
+  void emit_local_write(NodeId node, Addr block, Cycles time) {
+    if (telemetry_ != nullptr) {
+      emit(ProtoEventKind::kLocalWrite, node, block, time,
+           *dir_.find(block));
     }
   }
 
@@ -260,8 +239,9 @@ class MemorySystem {
                    NodeId node);
   /// Applies a policy decision through the tag/de-tag machinery. `reason`
   /// is the audit reason code of the rule that produced `action`;
-  /// `block`/`node` identify the audited block and the node whose access
-  /// caused the decision (requester, or evicting node for replacements).
+  /// `block`/`node` identify the decided block (the victim, for
+  /// replacements) and the node whose access caused the decision
+  /// (requester, or evicting node for replacements).
   void apply_tag_action(TagAction action, DirEntry& entry, TagReason reason,
                         Addr block, NodeId node);
 
@@ -301,11 +281,8 @@ class MemorySystem {
   std::vector<CacheHierarchy> caches_;
   FalseSharingClassifier fs_;
   LoadStoreOracle oracle_;
-  EventLog log_;
-  // Observability (null when disabled; see src/telemetry/).
-  MetricsRegistry* metrics_ = nullptr;
-  CoherenceTrace* trace_ = nullptr;
-  TagAuditLog* audit_ = nullptr;
+  /// The coherence-event sink; null when every pillar is off.
+  Telemetry* telemetry_ = nullptr;
   /// Invariant checker hook (null when verification is off).
   check::InvariantChecker* checker_ = nullptr;
   /// Cached cfg_.classify_false_sharing: gates the word-mask computation
@@ -322,23 +299,14 @@ class MemorySystem {
   /// Replay fast path: skip simulated data movement (see
   /// enable_lean_replay).
   bool lean_replay_ = false;
-  /// Per-node, per-kind counter handles (registered once at startup).
-  std::vector<std::array<CounterHandle, kNumProtoEventKinds>> ev_counters_;
-  /// Ownership-latency histograms (`ownership.latency{op=...}`), one per
-  /// transaction kind; invalid handles when metrics are off.
-  HistogramHandle lat_read_miss_;
-  HistogramHandle lat_write_miss_;
-  HistogramHandle lat_upgrade_;
   /// Spin parking: each node's watched block, how many, who woke.
   static constexpr Addr kNotParked = ~Addr{0};
   std::vector<Addr> parked_block_;
   std::uint32_t parked_count_ = 0;
   std::vector<NodeId> woken_;
-  // Scratch: context of the in-flight access (for oracle/log hooks).
+  // Scratch: context of the in-flight access (for oracle/tag hooks).
   StreamTag current_tag_ = StreamTag::kApp;
   Cycles current_time_ = 0;
-  Addr current_block_ = 0;
-  NodeId current_node_ = 0;
 };
 
 }  // namespace lssim

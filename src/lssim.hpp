@@ -35,7 +35,6 @@
 #include "stats/ls_oracle.hpp"
 #include "stats/report.hpp"
 #include "stats/stats.hpp"
-#include "stats/timeline.hpp"
 #include "sync/barrier.hpp"
 #include "telemetry/coherence_trace.hpp"
 #include "telemetry/json.hpp"

@@ -14,8 +14,7 @@ System::System(const MachineConfig& config, std::uint64_t seed)
       space_(config.num_nodes, config.page_bytes),
       heap_(space_),
       telemetry_(config.telemetry),
-      memory_(config, space_, stats_, &telemetry_),
-      timeline_(config.stats_epoch) {
+      memory_(config, space_, stats_, &telemetry_) {
   const std::string problem = config.validate();
   if (!problem.empty()) {
     throw std::invalid_argument("invalid MachineConfig: " + problem);
@@ -56,7 +55,7 @@ void System::run() {
   ran_ = true;
   // Spin parking (system.hpp); a probe period of at least one cycle.
   bool may_park = memory_.spin_parking_eligible() && observers_.empty() &&
-                  !timeline_.enabled() && cfg_.latency.l1_access > 0;
+                  cfg_.latency.l1_access > 0;
 
   // Start every program; each runs until its first memory access (or to
   // completion, for programs that never touch simulated memory).
@@ -114,21 +113,10 @@ void System::run() {
     for (const AccessObserver& observer : observers_) {
       observer(next->id_, req, now, res.latency);
     }
-    if (req.is_write()) {
-      stats_.write_latency.record(res.latency);
-    } else {
-      stats_.read_latency.record(res.latency);
-    }
     if (MetricsRegistry* m = telemetry_.metrics()) {
       m->add(node_accesses_[next->id_]);
       m->observe(req.is_write() ? write_latency_h_ : read_latency_h_,
                  res.latency);
-    }
-    if (timeline_.enabled()) {
-      timeline_.observe(now, stats_.accesses,
-                        stats_.messages_total(), stats_.global_read_misses,
-                        stats_.global_write_actions,
-                        stats_.eliminated_acquisitions);
     }
 
     // Time accounting: sequential consistency (paper default) via
@@ -217,7 +205,6 @@ void System::unpark(Processor& proc, Cycles bound) {
   CacheHierarchy& ch = memory_.cache(proc.id_);
   ch.l1().touch(ch.l2().block_of(proc.pending_.addr), probes);
   stats_.per_proc[proc.id_].busy += probes * l1;
-  stats_.read_latency.record(l1, probes);
   if (MetricsRegistry* m = telemetry_.metrics()) {
     m->add(node_accesses_[proc.id_], probes);
     m->observe(read_latency_h_, l1, probes);

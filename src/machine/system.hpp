@@ -13,8 +13,8 @@
 // and the MemorySystem watches that copy. When another node's
 // transaction changes it, run() accounts in one step every probe that
 // would have issued before that transaction, then re-issues. Statistics
-// are unchanged. Parking is off with access observers, the epoch
-// timeline, or MemorySystem::spin_parking_eligible() false.
+// are unchanged. Parking is off with access observers or
+// MemorySystem::spin_parking_eligible() false.
 #pragma once
 
 #include <functional>
@@ -64,9 +64,6 @@ class System {
     return telemetry_;
   }
   [[nodiscard]] const MachineConfig& config() const noexcept { return cfg_; }
-  [[nodiscard]] const EpochTimeline& timeline() const noexcept {
-    return timeline_;
-  }
 
   /// Wall-clock execution time: the latest processor local time.
   [[nodiscard]] Cycles exec_time() const noexcept;
@@ -123,7 +120,6 @@ class System {
   std::vector<std::unique_ptr<Processor>> procs_;
   std::vector<SimTask<void>> programs_;  // Index-aligned with procs_.
   std::vector<std::shared_ptr<void>> retained_;
-  EpochTimeline timeline_;
   std::vector<AccessObserver> observers_;
   // System-level metric handles (only valid when telemetry.metrics is on).
   HistogramHandle read_latency_h_;

@@ -87,8 +87,8 @@ int Network::hop_count(NodeId src, NodeId dst) const noexcept {
 Cycles Network::send(NodeId src, NodeId dst, MsgType type, Cycles now) {
   if (src == dst) {
     // A self-send never occupies a link (the routing loop below no-ops),
-    // but it silently inflates the message count and traffic matrix —
-    // exactly the statistics the paper's figures are built from. Checked
+    // but it silently inflates the message count — exactly the
+    // statistic the paper's figures are built from. Checked
     // in all build types: an assert would let release builds publish
     // corrupted message counts.
     throw std::logic_error(
@@ -96,9 +96,6 @@ Cycles Network::send(NodeId src, NodeId dst, MsgType type, Cycles now) {
         "); node-internal transfers are not network messages");
   }
   stats_.messages_by_type[static_cast<std::size_t>(type)] += 1;
-  if (src < num_nodes_ && dst < num_nodes_) {
-    stats_.traffic_matrix.record(src, dst);
-  }
   int at = src;
   Cycles t = now;
   Cycles queued = 0;

@@ -34,9 +34,6 @@ Cycles SnoopBus::send(NodeId src, NodeId dst, MsgType type, Cycles now) {
         "); node-internal transfers are not bus transactions");
   }
   stats_.messages_by_type[static_cast<std::size_t>(type)] += 1;
-  if (src < num_nodes_ && dst < num_nodes_) {
-    stats_.traffic_matrix.record(src, dst);
-  }
   Cycles depart = std::max(now, bus_free_);
   if (arbitration_ == BusArbitration::kRoundRobin && bus_free_ > now) {
     // The requester contended: the rotating grant walks one position per

@@ -267,8 +267,9 @@ inline constexpr NameTable<ConsistencyModel, 2> kConsistencyNames{
   return kConsistencyNames.name(m);
 }
 
-/// Observability knobs (see src/telemetry/). Both default off; a disabled
-/// run pays one null-pointer branch per hook (the event-log pattern).
+/// Observability knobs (see src/telemetry/): what the Telemetry sink
+/// keeps of the engine's coherence events. All default off; with every
+/// knob off the engine's one hook is a null-pointer branch.
 struct TelemetryConfig {
   /// Registers and maintains the named metrics registry (per-node protocol
   /// event counters, cache/network/directory counters, latency histograms).
@@ -283,8 +284,13 @@ struct TelemetryConfig {
   /// in a ring for `--audit-out` (telemetry/audit.hpp).
   std::size_t audit_capacity = 0;
 
+  /// When nonzero, the last N coherence events are kept in a ring for
+  /// debugging (telemetry/coherence_event.hpp).
+  std::size_t event_log_capacity = 0;
+
   [[nodiscard]] bool any() const noexcept {
-    return metrics || trace_capacity > 0 || audit_capacity > 0;
+    return metrics || trace_capacity > 0 || audit_capacity > 0 ||
+           event_log_capacity > 0;
   }
 };
 
@@ -325,15 +331,7 @@ struct MachineConfig {
   /// this bound evicts a victim entry and invalidates its cached copies.
   std::uint32_t directory_entries = 0;
 
-  /// When nonzero, System records an EpochSample of headline counters
-  /// every `stats_epoch` simulated cycles (see stats/timeline.hpp).
-  Cycles stats_epoch = 0;
-
-  /// When nonzero, the memory system retains the last N protocol events
-  /// in a ring for debugging (see core/event_log.hpp).
-  std::size_t event_log_capacity = 0;
-
-  /// Observability: metrics registry and coherence-trace recording.
+  /// Observability: metrics, coherence trace, audit trail, event log.
   TelemetryConfig telemetry;
 
   /// Attach the protocol invariant checker (src/check/invariants.hpp) to

@@ -27,71 +27,6 @@ std::string fixed1(double v) {
 
 }  // namespace
 
-void print_latency_histogram(std::ostream& os, const char* title,
-                             const LatencyHistogram& hist) {
-  os << "-- " << title << " (" << hist.samples() << " samples, mean "
-     << static_cast<std::uint64_t>(hist.mean()) << " cy, p50 <= "
-     << hist.percentile(0.5) << ", p99 <= " << hist.percentile(0.99)
-     << ") --\n";
-  for (int b = 0; b < LatencyHistogram::kBuckets; ++b) {
-    const std::uint64_t count = hist.count(b);
-    if (count == 0) continue;
-    char line[96];
-    std::snprintf(line, sizeof(line), "  [%7llu, %7llu)  %10llu  ",
-                  static_cast<unsigned long long>(1ull << b),
-                  static_cast<unsigned long long>(1ull << (b + 1)),
-                  static_cast<unsigned long long>(count));
-    os << line;
-    const int bars = static_cast<int>(
-        60.0 * static_cast<double>(count) /
-        static_cast<double>(hist.samples()));
-    for (int i = 0; i < bars; ++i) os << '#';
-    os << "\n";
-  }
-}
-
-void print_traffic_matrix(std::ostream& os, const TrafficMatrix& matrix) {
-  os << "-- traffic matrix (messages, src row -> dst column) --\n    ";
-  for (int d = 0; d < matrix.num_nodes(); ++d) {
-    char head[24];
-    std::snprintf(head, sizeof(head), "%9s%-2d", "P", d);
-    os << head;
-  }
-  os << "\n";
-  for (int s = 0; s < matrix.num_nodes(); ++s) {
-    char row[16];
-    std::snprintf(row, sizeof(row), "P%-3d", s);
-    os << row;
-    for (int d = 0; d < matrix.num_nodes(); ++d) {
-      char cell[16];
-      std::snprintf(cell, sizeof(cell), "%11llu",
-                    static_cast<unsigned long long>(matrix.count(
-                        static_cast<NodeId>(s), static_cast<NodeId>(d))));
-      os << cell;
-    }
-    os << "\n";
-  }
-}
-
-void print_timeline(std::ostream& os, const EpochTimeline& timeline) {
-  os << "-- epoch timeline (deltas per epoch of "
-     << timeline.epoch_length() << " cycles) --\n";
-  os << "        end   accesses   messages  rd-misses  wr-actions  "
-        "eliminated\n";
-  for (const EpochSample& s : timeline.samples()) {
-    char line[128];
-    std::snprintf(line, sizeof(line),
-                  "%11llu %10llu %10llu %10llu %11llu %11llu",
-                  static_cast<unsigned long long>(s.end_time),
-                  static_cast<unsigned long long>(s.accesses),
-                  static_cast<unsigned long long>(s.messages),
-                  static_cast<unsigned long long>(s.read_misses),
-                  static_cast<unsigned long long>(s.write_actions),
-                  static_cast<unsigned long long>(s.eliminated));
-    os << line << "\n";
-  }
-}
-
 void print_behavior_figure(std::ostream& os, const std::string& name,
                            std::span<const RunResult> results) {
   if (results.empty()) return;

@@ -24,16 +24,6 @@ void print_invalidation_figure(std::ostream& os, const std::string& name,
                                std::span<const RunResult> results,
                                std::span<const std::string> labels);
 
-/// Prints a latency histogram as an ASCII table (nonzero buckets only).
-void print_latency_histogram(std::ostream& os, const char* title,
-                             const LatencyHistogram& hist);
-
-/// Prints the node-to-node message-count matrix.
-void print_traffic_matrix(std::ostream& os, const TrafficMatrix& matrix);
-
-/// Prints the epoch timeline, one sample per line.
-void print_timeline(std::ostream& os, const EpochTimeline& timeline);
-
 /// Formats `value` as a percentage string with one decimal.
 [[nodiscard]] std::string pct(double value);
 

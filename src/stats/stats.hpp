@@ -7,7 +7,6 @@
 
 #include "net/message.hpp"
 #include "sim/types.hpp"
-#include "stats/timeline.hpp"
 
 namespace lssim {
 
@@ -55,8 +54,7 @@ inline constexpr int kNumHomeStates = 4;
 /// Whole-run statistics. One instance per simulation.
 struct Stats {
   explicit Stats(int num_nodes)
-      : per_proc(static_cast<std::size_t>(num_nodes)),
-        traffic_matrix(num_nodes) {}
+      : per_proc(static_cast<std::size_t>(num_nodes)) {}
 
   // --- time ---------------------------------------------------------
   std::vector<TimeBreakdown> per_proc;
@@ -112,11 +110,6 @@ struct Stats {
   std::uint64_t update_transactions = 0;
   /// ...and how many remote copies those writes updated in total.
   std::uint64_t updates_sent = 0;
-
-  // --- distributions / topology-resolved traffic -------------------------
-  LatencyHistogram read_latency;   ///< All read accesses (bucket 0 = hits).
-  LatencyHistogram write_latency;  ///< All write/RMW accesses.
-  TrafficMatrix traffic_matrix;    ///< Per (src, dst) message counts.
 
   // --- false sharing (paper Table 4) ------------------------------------
   std::uint64_t network_hops = 0;           ///< Physical link traversals.

@@ -1,109 +1,27 @@
-// Tag-decision audit trail: a bounded ring of every tag, de-tag and
-// hysteresis-counter transition the engine applies, each stamped with the
-// reason code of the policy rule (or engine hook) that caused it.
+// Tag-decision audit trail: every tag, de-tag and hysteresis-counter
+// transition the engine applies, each stamped with the reason code of the
+// policy rule (or engine hook) that caused it.
 //
-// Same shape as core/event_log.hpp (last-N ring, capacity 0 = disabled,
-// one branch per hook when off), but a separate buffer with a richer
-// record: the audit trail answers "why is this block (not) tagged?",
-// which the event log's state-transition view cannot — it only records
-// threshold crossings, never the hysteresis progress or the rule that
-// fired. `lssim_run --audit-out` dumps it as JSONL; the reason taxonomy
-// (TagReason, core/coherence_policy.hpp) is cross-checkable against the
-// independent LS model in src/check/invariants.cpp because both observe
-// the same engine hook sites.
+// It is the Telemetry sink's last-N consumer of the audited event kinds
+// (kEventKinds, telemetry/coherence_event.hpp), kept in the same ring as
+// the event log. The trail answers "why is this block (not) tagged?",
+// which the event log's state-transition view cannot: it records the
+// hysteresis progress and the rule that fired. `lssim_run --audit-out`
+// dumps it as JSONL; the reason taxonomy (TagReason,
+// core/coherence_policy.hpp) is cross-checkable against the independent
+// LS model in src/check/invariants.cpp because both observe the same
+// engine hook sites.
 #pragma once
 
-#include <cstdint>
 #include <ostream>
 #include <string_view>
-#include <vector>
 
-#include "core/coherence_policy.hpp"
-#include "sim/types.hpp"
+#include "telemetry/coherence_event.hpp"
 
 namespace lssim {
 
-/// What happened to the entry's tag state.
-enum class TagAuditEvent : std::uint8_t {
-  kTag,            ///< Tag bit set (hysteresis threshold crossed).
-  kDetag,          ///< Tag bit cleared (threshold crossed).
-  kTagProgress,    ///< tag_progress changed without crossing the threshold.
-  kDetagProgress,  ///< detag_progress changed without crossing.
-};
-
-[[nodiscard]] constexpr const char* to_string(TagAuditEvent e) noexcept {
-  switch (e) {
-    case TagAuditEvent::kTag: return "tag";
-    case TagAuditEvent::kDetag: return "detag";
-    case TagAuditEvent::kTagProgress: return "tag-progress";
-    case TagAuditEvent::kDetagProgress: return "detag-progress";
-  }
-  return "?";
-}
-
-struct TagAuditRecord {
-  Cycles time = 0;
-  Addr block = 0;
-  /// The node whose access caused the transition (requester for foreign
-  /// accesses, evicting node for replacements).
-  NodeId node = kInvalidNode;
-  TagAuditEvent event = TagAuditEvent::kTag;
-  TagReason reason = TagReason::kLsSequence;
-  /// §5.5 hysteresis counters *after* the event.
-  std::uint8_t tag_progress = 0;
-  std::uint8_t detag_progress = 0;
-  /// Tag bit after the event.
-  bool tagged = false;
-};
-
-class TagAuditLog {
- public:
-  explicit TagAuditLog(std::size_t capacity = 0) : capacity_(capacity) {
-    if (capacity_ > 0) ring_.reserve(capacity_);
-  }
-
-  [[nodiscard]] bool enabled() const noexcept { return capacity_ > 0; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-
-  void record(Cycles time, Addr block, NodeId node, TagAuditEvent event,
-              TagReason reason, std::uint8_t tag_progress,
-              std::uint8_t detag_progress, bool tagged) {
-    if (!enabled()) return;
-    const TagAuditRecord rec{time,         block,        node,
-                             event,        reason,       tag_progress,
-                             detag_progress, tagged};
-    if (ring_.size() < capacity_) {
-      ring_.push_back(rec);
-    } else {
-      ring_[next_] = rec;
-      wrapped_ = true;
-    }
-    next_ = (next_ + 1) % capacity_;
-    total_ += 1;
-  }
-
-  /// Number of records ever made (may exceed capacity).
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  /// Retained records (min(total, capacity)).
-  [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
-
-  /// Applies `fn` to the retained records, oldest first.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    if (ring_.empty()) return;
-    const std::size_t start = wrapped_ ? next_ : 0;
-    for (std::size_t i = 0; i < ring_.size(); ++i) {
-      fn(ring_[(start + i) % ring_.size()]);
-    }
-  }
-
- private:
-  std::size_t capacity_;
-  std::vector<TagAuditRecord> ring_;
-  std::size_t next_ = 0;
-  bool wrapped_ = false;
-  std::uint64_t total_ = 0;
-};
+/// The audited events (tag, detag, tag-progress, detag-progress).
+using TagAuditLog = EventLog;
 
 /// Writes the retained records as JSONL (one object per line, oldest
 /// first), each carrying `protocol`, followed by one summary line with

@@ -1,22 +1,21 @@
 // Capacity-bounded recording of coherence activity for timeline export.
 //
-// Unlike core/event_log.hpp (a last-N debugging ring), this buffer keeps
-// the *first* N spans/instants of a run so a whole workload opens as a
-// contiguous timeline in ui.perfetto.dev. Spans carry begin/end cycles
-// (request issue .. reply completion) for the global transactions —
-// read miss, write miss, upgrade — and instants mark the protocol's
-// point events (tag, detag, NotLS, local write, migrate).
-//
-// Disabled (capacity 0) the hooks cost one null-pointer branch, matching
-// the event-log pattern.
+// The Telemetry sink's first-N consumer: where the event log and the
+// audit trail (last-N rings, telemetry/coherence_event.hpp) keep the end
+// of a run, this buffer keeps the *first* N spans/instants so a whole
+// workload opens as a contiguous timeline in ui.perfetto.dev. Spans carry
+// begin/end cycles (request issue .. reply completion) for the global
+// transactions — read miss, write miss, upgrade — and instants mark the
+// protocol's point events (tag, detag, NotLS, local write, migrate);
+// kEventKinds gives each kind's shape.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "core/event_log.hpp"
 #include "sim/types.hpp"
+#include "telemetry/coherence_event.hpp"
 
 namespace lssim {
 

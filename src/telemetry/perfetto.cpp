@@ -113,9 +113,9 @@ void write_chrome_trace(std::ostream& os,
       }
     }
     if (proc.log != nullptr) {
-      proc.log->for_each([&](const ProtocolEvent& e) {
-        write_instant(w, pid, e.actor, e.kind, e.block, e.time);
-        note_node(e.actor);
+      proc.log->for_each([&](const CoherenceEvent& e) {
+        write_instant(w, pid, e.node, e.kind, e.block, e.time);
+        note_node(e.node);
       });
     }
 

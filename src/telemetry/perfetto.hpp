@@ -23,7 +23,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/event_log.hpp"
+#include "telemetry/coherence_event.hpp"
 #include "telemetry/coherence_trace.hpp"
 
 namespace lssim {

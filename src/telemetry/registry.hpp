@@ -4,12 +4,11 @@
 // Components register metrics once at construction (slow path: a name /
 // label-set lookup) and receive a stable integer handle; every update is
 // then a plain indexed `uint64_t` bump — no maps, no strings, no hashing
-// on the fast path. Snapshots copy the value arrays; deltas subtract two
-// snapshots so epoch sampling composes with the existing EpochTimeline.
+// on the fast path. Snapshots copy the value arrays; snapshot_delta
+// subtracts two snapshots, which is how a caller samples epochs.
 //
 // Components hold a `MetricsRegistry*` that is null when telemetry is
-// disabled, so a disabled run pays one predictable branch per hook — the
-// same pattern as core/event_log.hpp.
+// disabled, so a disabled run pays one predictable branch per hook.
 #pragma once
 
 #include <array>

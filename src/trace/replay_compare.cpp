@@ -153,16 +153,11 @@ RunResult ReplayCompareEngine::replay_collect(const MachineConfig& config,
     const AccessResult res =
         memory.access(static_cast<NodeId>(best), req, issue_time);
 
-    const bool is_write = req.is_write();
-    if (is_write) {
-      stats.write_latency.record(res.latency);
-    } else {
-      stats.read_latency.record(res.latency);
-    }
     // The inter-access gap was compute (busy) time.
     TimeBreakdown& tb = stats.per_proc[best];
     tb.busy += d.gap;
-    account_access(tb, is_write, res.latency, config.latency.l1_access);
+    account_access(tb, req.is_write(), res.latency,
+                   config.latency.l1_access);
     clock[best] = issue_time + res.latency;
     if (cursor[best] < streams_[best].size()) {
       const DecodedAccess& up = streams_[best][cursor[best]];

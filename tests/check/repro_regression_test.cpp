@@ -7,6 +7,7 @@
 // still exercises the rule it was written for.
 #include "check/repro.hpp"
 
+#include <fstream>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -140,6 +141,67 @@ TEST(ReproFormat, MalformedInputsFailWithLineNumbers) {
   EXPECT_THROW(
       (void)load_text("lssim-repro v1\naccess 0 R 0x0 3 0x0\nend\n"),
       std::runtime_error);
+}
+
+/// The error load_repro raises for detag-on-foreign-read.repro with the
+/// line starting `key ` replaced by `replacement` (appended if absent).
+std::string load_error_with(const std::string& key,
+                            const std::string& replacement) {
+  std::ifstream in(repro_path("detag-on-foreign-read.repro"));
+  std::string text;
+  bool replaced = false;
+  for (std::string line; std::getline(in, line);) {
+    if (!replaced && line.rfind(key + " ", 0) == 0) {
+      line = replacement;
+      replaced = true;
+    } else if (line == "end" && !replaced) {
+      text += replacement + "\n";
+    }
+    text += line + "\n";
+  }
+  std::stringstream ss(text);
+  try {
+    (void)load_repro(ss);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ReproFormat, RejectsZeroCacheGeometry) {
+  // Once a SIGFPE in the cache's set-index arithmetic. The machine is
+  // validated whole, at the `end` line.
+  const std::string error = load_error_with("l1", "l1 0 0 0");
+  EXPECT_NE(error.find("line 21"), std::string::npos) << error;
+  EXPECT_NE(error.find("cache geometry"), std::string::npos) << error;
+}
+
+TEST(ReproFormat, RejectsAccessNodeBeyondMachine) {
+  // Once a SIGSEGV: node 5 indexed a 2-node machine's caches.
+  const std::string error = load_error_with("access", "access 5 R 0x0 8 0x0");
+  EXPECT_NE(error.find("line 17"), std::string::npos) << error;
+  EXPECT_NE(error.find("access node 5"), std::string::npos) << error;
+}
+
+TEST(ReproFormat, RejectsOutOfRangePointerCount) {
+  // 300 used to narrow to 44 and then run a 44-pointer Dir_iB.
+  const std::string error =
+      load_error_with("directory", "directory limited-ptr 300");
+  EXPECT_NE(error.find("line 16"), std::string::npos) << error;
+  EXPECT_NE(error.find("directory pointers 300"), std::string::npos)
+      << error;
+  // In range for the field, out of range for the organisation.
+  const std::string invalid =
+      load_error_with("directory", "directory limited-ptr 9");
+  EXPECT_NE(invalid.find("directory_pointers"), std::string::npos)
+      << invalid;
+}
+
+TEST(ReproFormat, RejectsTrailingTokens) {
+  const std::string error = load_error_with("protocol", "protocol LS garbage");
+  EXPECT_NE(error.find("line 7"), std::string::npos) << error;
+  EXPECT_NE(error.find("'garbage' after protocol"), std::string::npos)
+      << error;
 }
 
 }  // namespace

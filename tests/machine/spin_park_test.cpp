@@ -25,15 +25,19 @@ struct Outcome {
   RunResult result;     ///< collect(): every RunResult field.
   std::string metrics;  ///< Metrics snapshot JSON (telemetry on), else "".
   std::vector<Cycles> per_proc;  ///< busy, read stall, write stall.
-  std::vector<std::uint64_t> latency;  ///< Read/write histogram buckets.
+  /// sys.read_latency / sys.write_latency buckets, samples and sums.
+  std::vector<std::uint64_t> latency;
   std::uint64_t caches = 0;  ///< Digest of every line, LRU stamps included.
   bool timed_out = false;
   std::uint64_t bulk_probes = 0;
 };
 
+/// Runs with metrics on: the latency histograms live in the registry.
 Outcome run_case(const MachineConfig& cfg, const WorkloadBuilder& build,
                  bool observed) {
-  System sys(cfg, 1);
+  MachineConfig metered = cfg;
+  metered.telemetry.metrics = true;
+  System sys(metered, 1);
   build(sys);
   if (observed) {
     sys.add_access_observer([](NodeId, const AccessRequest&, Cycles,
@@ -42,20 +46,19 @@ Outcome run_case(const MachineConfig& cfg, const WorkloadBuilder& build,
   sys.run();
   Outcome out;
   out.result = collect(sys);
-  if (const MetricsRegistry* m = sys.telemetry().metrics()) {
-    out.metrics = snapshot_to_json(m->snapshot()).dump();
+  const MetricsSnapshot snap = sys.telemetry().registry().snapshot();
+  if (cfg.telemetry.metrics) {
+    out.metrics = snapshot_to_json(snap).dump();
   }
   for (const TimeBreakdown& tb : sys.stats().per_proc) {
     out.per_proc.insert(out.per_proc.end(),
                         {tb.busy, tb.read_stall, tb.write_stall});
   }
-  for (const LatencyHistogram* h :
-       {&sys.stats().read_latency, &sys.stats().write_latency}) {
-    for (int b = 0; b < LatencyHistogram::kBuckets; ++b) {
-      out.latency.push_back(h->count(b));
-    }
-    out.latency.push_back(h->samples());
-    out.latency.push_back(static_cast<std::uint64_t>(h->mean() * 1024));
+  for (const char* name : {"sys.read_latency", "sys.write_latency"}) {
+    const HistogramData& h = *snap.histogram(name);
+    out.latency.insert(out.latency.end(), h.counts.begin(), h.counts.end());
+    out.latency.push_back(h.samples);
+    out.latency.push_back(h.sum);
   }
   std::uint64_t h = 0xcbf29ce484222325ULL;
   const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ULL; };
@@ -249,10 +252,8 @@ TEST(SpinPark, IneligibleMachinesNeverPark) {
   MachineConfig checked =
       MachineConfig::scientific_default(ProtocolKind::kLs);
   checked.check_invariants = true;
-  MachineConfig epochs = MachineConfig::scientific_default(ProtocolKind::kLs);
-  epochs.stats_epoch = 5000;
   MachineConfig plain = MachineConfig::scientific_default(ProtocolKind::kLs);
-  for (const MachineConfig* cfg : {&classify, &assoc_l2, &checked, &epochs}) {
+  for (const MachineConfig* cfg : {&classify, &assoc_l2, &checked}) {
     EXPECT_EQ(run_case(*cfg, build, false).bulk_probes, 0u);
   }
   EXPECT_GT(run_case(plain, build, false).bulk_probes, 0u);

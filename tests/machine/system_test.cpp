@@ -8,6 +8,7 @@
 
 #include "../coherence_check.hpp"
 #include "mem/shared_heap.hpp"
+#include "workloads/micro.hpp"
 
 namespace lssim {
 namespace {
@@ -155,6 +156,30 @@ TEST(System, CoherenceInvariantsHoldAfterRun) {
   sys.run();
   EXPECT_EQ(coherence_violations(sys.memory()), kNoViolations);
   EXPECT_EQ(sys.space().load(a, 8), 1200u);
+}
+
+TEST(SystemIntegration, AccessLatencyMetricsPopulated) {
+  MachineConfig cfg;
+  cfg.num_nodes = 4;
+  cfg.l1 = CacheConfig{1024, 1, 16};
+  cfg.l2 = CacheConfig{8192, 1, 16};
+  cfg.protocol.kind = ProtocolKind::kBaseline;
+  cfg.telemetry.metrics = true;
+  System sys(cfg);
+  build_pingpong(sys, PingPongParams{.rounds = 100, .counters = 2});
+  sys.run();
+  const MetricsSnapshot snap = sys.telemetry().registry().snapshot();
+  const HistogramData* reads = snap.histogram("sys.read_latency");
+  const HistogramData* writes = snap.histogram("sys.write_latency");
+  ASSERT_NE(reads, nullptr);
+  ASSERT_NE(writes, nullptr);
+  EXPECT_GT(reads->samples, 100u);
+  EXPECT_GT(writes->samples, 100u);
+  // Hits land in bucket 0; misses around 100-500 cycles in buckets 6-9.
+  EXPECT_GT(reads->percentile(0.99), 60u);
+  // One sample per access, and one per-node access count each.
+  EXPECT_EQ(reads->samples + writes->samples, sys.stats().accesses);
+  EXPECT_EQ(snap.counter_total("sys.accesses"), sys.stats().accesses);
 }
 
 }  // namespace

@@ -86,8 +86,11 @@ struct WatchdogOutcome {
   std::vector<Cycles> clocks;  ///< Per processor: time, busy, read stall.
   std::uint64_t accesses = 0;
   std::uint64_t l1_hits = 0;
+  /// sys.read_latency / sys.write_latency: samples and mean.
   std::uint64_t read_samples = 0;
   double read_mean = 0;
+  std::uint64_t write_samples = 0;
+  double write_mean = 0;
   std::uint64_t messages = 0;
   std::uint64_t bulk_probes = 0;
 };
@@ -96,7 +99,8 @@ bool operator==(const WatchdogOutcome& a, const WatchdogOutcome& b) {
   return a.timed_out == b.timed_out && a.exec_time == b.exec_time &&
          a.clocks == b.clocks && a.accesses == b.accesses &&
          a.l1_hits == b.l1_hits && a.read_samples == b.read_samples &&
-         a.read_mean == b.read_mean && a.messages == b.messages;
+         a.read_mean == b.read_mean && a.write_samples == b.write_samples &&
+         a.write_mean == b.write_mean && a.messages == b.messages;
 }
 
 std::ostream& operator<<(std::ostream& os, const WatchdogOutcome& o) {
@@ -132,7 +136,9 @@ using WatchdogScenario = std::function<void(System&)>;
 
 WatchdogOutcome run_watchdog(const MachineConfig& cfg,
                              const WatchdogScenario& spawn, bool observed) {
-  System sys(cfg);
+  MachineConfig metered = cfg;
+  metered.telemetry.metrics = true;  // For the latency histograms.
+  System sys(metered);
   spawn(sys);
   if (observed) {
     sys.add_access_observer([](NodeId, const AccessRequest&, Cycles,
@@ -150,8 +156,13 @@ WatchdogOutcome run_watchdog(const MachineConfig& cfg,
   }
   out.accesses = sys.stats().accesses;
   out.l1_hits = sys.stats().l1_hits;
-  out.read_samples = sys.stats().read_latency.samples();
-  out.read_mean = sys.stats().read_latency.mean();
+  const MetricsSnapshot snap = sys.telemetry().registry().snapshot();
+  const HistogramData& reads = *snap.histogram("sys.read_latency");
+  const HistogramData& writes = *snap.histogram("sys.write_latency");
+  out.read_samples = reads.samples;
+  out.read_mean = reads.mean();
+  out.write_samples = writes.samples;
+  out.write_mean = writes.mean();
   out.messages = sys.stats().messages_total();
   out.bulk_probes = sys.bulk_probes();
   return out;

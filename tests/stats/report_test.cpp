@@ -82,42 +82,6 @@ TEST(Report, InvalidationFigurePrints) {
   EXPECT_NE(out.find("global inv"), std::string::npos);
 }
 
-TEST(Report, LatencyHistogramRendering) {
-  LatencyHistogram hist;
-  for (int i = 0; i < 80; ++i) hist.record(1);
-  for (int i = 0; i < 20; ++i) hist.record(300);
-  std::ostringstream os;
-  print_latency_histogram(os, "reads", hist);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("reads"), std::string::npos);
-  EXPECT_NE(out.find("100 samples"), std::string::npos);
-  EXPECT_NE(out.find("#"), std::string::npos);
-  EXPECT_NE(out.find("[    256,     512)"), std::string::npos);
-}
-
-TEST(Report, TrafficMatrixRendering) {
-  TrafficMatrix matrix(3);
-  matrix.record(0, 1);
-  matrix.record(0, 1);
-  matrix.record(2, 0);
-  std::ostringstream os;
-  print_traffic_matrix(os, matrix);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("traffic matrix"), std::string::npos);
-  EXPECT_NE(out.find("2"), std::string::npos);
-}
-
-TEST(Report, TimelineRendering) {
-  EpochTimeline timeline(100);
-  timeline.observe(150, 10, 20, 3, 2, 1);
-  std::ostringstream os;
-  print_timeline(os, timeline);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("epoch timeline"), std::string::npos);
-  EXPECT_NE(out.find("100"), std::string::npos);
-  EXPECT_NE(out.find("20"), std::string::npos);
-}
-
 TEST(Report, EmptyResultsAreSafe) {
   std::ostringstream os;
   print_behavior_figure(os, "empty", {});

@@ -1,7 +1,8 @@
 // Tests for the tag-decision audit trail: ring semantics (wrap at exact
 // capacity, capacity 0 = disabled), engine hook coverage for the policy
-// reason codes, JSONL serialization, and a driver-level cross-check of
-// the audit stream against the engine's own tag statistics.
+// reason codes, JSONL serialization, and driver-level cross-checks of
+// the audit stream against the engine's own tag statistics and against
+// the coherence trace's tag/detag instants.
 #include "telemetry/audit.hpp"
 
 #include <gtest/gtest.h>
@@ -9,9 +10,11 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "../core/protocol_test_util.hpp"
+#include "core/protocol_registry.hpp"
 #include "driver/runner.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/telemetry.hpp"
@@ -19,16 +22,33 @@
 namespace lssim {
 namespace {
 
+CoherenceEvent audit_record(Cycles time, Addr block, NodeId node,
+                            ProtoEventKind kind, TagReason reason,
+                            std::uint8_t tag_progress,
+                            std::uint8_t detag_progress, bool tagged) {
+  CoherenceEvent e;
+  e.time = time;
+  e.block = block;
+  e.node = node;
+  e.kind = kind;
+  e.reason = reason;
+  e.tag_progress = tag_progress;
+  e.detag_progress = detag_progress;
+  e.tagged = tagged;
+  return e;
+}
+
 void record_n(TagAuditLog& log, int n, Cycles start = 0) {
   for (int i = 0; i < n; ++i) {
-    log.record(start + static_cast<Cycles>(i), 0x40, 1, TagAuditEvent::kTag,
-               TagReason::kLsSequence, 0, 0, true);
+    log.record(audit_record(start + static_cast<Cycles>(i), 0x40, 1,
+                            ProtoEventKind::kTag, TagReason::kLsSequence, 0,
+                            0, true));
   }
 }
 
 std::vector<Cycles> times_of(const TagAuditLog& log) {
   std::vector<Cycles> times;
-  log.for_each([&](const TagAuditRecord& r) { times.push_back(r.time); });
+  log.for_each([&](const CoherenceEvent& r) { times.push_back(r.time); });
   return times;
 }
 
@@ -39,7 +59,7 @@ TEST(TagAuditLog, CapacityZeroIsDisabled) {
   EXPECT_EQ(log.total(), 0u);
   EXPECT_EQ(log.size(), 0u);
   bool called = false;
-  log.for_each([&](const TagAuditRecord&) { called = true; });
+  log.for_each([&](const CoherenceEvent&) { called = true; });
   EXPECT_FALSE(called);
 }
 
@@ -66,8 +86,8 @@ TEST(TagAuditLog, RingDropsOldestAcrossMultipleWraps) {
 
 TEST(TagAuditLog, JsonlCarriesEveryFieldPlusSummary) {
   TagAuditLog log(8);
-  log.record(1234, 0x80, 2, TagAuditEvent::kDetag, TagReason::kLoneWrite,
-             0, 0, false);
+  log.record(audit_record(1234, 0x80, 2, ProtoEventKind::kDetag,
+                          TagReason::kLoneWrite, 0, 0, false));
   std::ostringstream os;
   write_audit_jsonl(os, log, "LS");
 
@@ -120,16 +140,16 @@ TEST(TagAuditLog, GoldenWrappedRingJsonl) {
   // Captured from the tree-based writer the streaming one replaced: the
   // oldest two records have been overwritten, the summary says so.
   TagAuditLog log(3);
-  log.record(10, 0x40, 1, TagAuditEvent::kTagProgress,
-             TagReason::kLsSequence, 1, 0, false);
-  log.record(20, 0x40, 1, TagAuditEvent::kTag, TagReason::kLsSequence, 2, 0,
-             true);
-  log.record(35, 0x80, 0, TagAuditEvent::kDetagProgress,
-             TagReason::kForeignAccess, 0, 1, true);
-  log.record(47, 0x80, 3, TagAuditEvent::kDetag, TagReason::kReplacement, 0,
-             0, false);
-  log.record(90, 0xfc0, 2, TagAuditEvent::kTag, TagReason::kMigratoryDetect,
-             0, 0, true);
+  log.record(audit_record(10, 0x40, 1, ProtoEventKind::kTagProgress,
+                          TagReason::kLsSequence, 1, 0, false));
+  log.record(audit_record(20, 0x40, 1, ProtoEventKind::kTag,
+                          TagReason::kLsSequence, 2, 0, true));
+  log.record(audit_record(35, 0x80, 0, ProtoEventKind::kDetagProgress,
+                          TagReason::kForeignAccess, 0, 1, true));
+  log.record(audit_record(47, 0x80, 3, ProtoEventKind::kDetag,
+                          TagReason::kReplacement, 0, 0, false));
+  log.record(audit_record(90, 0xfc0, 2, ProtoEventKind::kTag,
+                          TagReason::kMigratoryDetect, 0, 0, true));
   std::ostringstream os;
   write_audit_jsonl(os, log, "LS");
   EXPECT_EQ(os.str(), R"({"protocol":"LS","time":35,"block":128,"node":0,"event":"detag-progress","reason":"foreign-access","tag_progress":0,"detag_progress":1,"tagged":true}
@@ -146,10 +166,10 @@ struct AuditedFixture {
       : telemetry((cfg.telemetry.audit_capacity = 4096, cfg.telemetry)),
         f(cfg, &telemetry) {}
 
-  std::vector<TagAuditRecord> records() const {
-    std::vector<TagAuditRecord> out;
+  std::vector<CoherenceEvent> records() const {
+    std::vector<CoherenceEvent> out;
     telemetry.audit_log().for_each(
-        [&](const TagAuditRecord& r) { out.push_back(r); });
+        [&](const CoherenceEvent& r) { out.push_back(r); });
     return out;
   }
 
@@ -165,7 +185,7 @@ TEST(TagAuditEngine, LsSequenceTagIsAudited) {
 
   const auto records = ax.records();
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].event, TagAuditEvent::kTag);
+  EXPECT_EQ(records[0].kind, ProtoEventKind::kTag);
   EXPECT_EQ(records[0].reason, TagReason::kLsSequence);
   EXPECT_EQ(records[0].block, ax.f.block_of(a));
   EXPECT_EQ(records[0].node, 1u);
@@ -182,7 +202,7 @@ TEST(TagAuditEngine, ForeignReadDetagIsAudited) {
 
   const auto records = ax.records();
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[1].event, TagAuditEvent::kDetag);
+  EXPECT_EQ(records[1].kind, ProtoEventKind::kDetag);
   EXPECT_EQ(records[1].reason, TagReason::kForeignAccess);
   EXPECT_EQ(records[1].node, 3u);
   EXPECT_FALSE(records[1].tagged);
@@ -197,7 +217,7 @@ TEST(TagAuditEngine, LoneWriteDetagIsAudited) {
 
   const auto records = ax.records();
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[1].event, TagAuditEvent::kDetag);
+  EXPECT_EQ(records[1].kind, ProtoEventKind::kDetag);
   EXPECT_EQ(records[1].reason, TagReason::kLoneWrite);
   EXPECT_EQ(records[1].node, 2u);
 }
@@ -212,7 +232,7 @@ TEST(TagAuditEngine, HysteresisProgressIsAuditedBeforeCrossing) {
 
   auto records = ax.records();
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].event, TagAuditEvent::kTagProgress);
+  EXPECT_EQ(records[0].kind, ProtoEventKind::kTagProgress);
   EXPECT_EQ(records[0].tag_progress, 1u);
   EXPECT_FALSE(records[0].tagged);
 
@@ -220,7 +240,7 @@ TEST(TagAuditEngine, HysteresisProgressIsAuditedBeforeCrossing) {
   (void)ax.f.write(2, a);  // Second sequence crosses the threshold.
   records = ax.records();
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[1].event, TagAuditEvent::kTag);
+  EXPECT_EQ(records[1].kind, ProtoEventKind::kTag);
   EXPECT_EQ(records[1].tag_progress, 0u);  // Counter after the event.
   EXPECT_TRUE(records[1].tagged);
 }
@@ -234,7 +254,7 @@ TEST(TagAuditEngine, AdMigratoryDetectAndReplacementDetagAreAudited) {
 
   auto records = ax.records();
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].event, TagAuditEvent::kTag);
+  EXPECT_EQ(records[0].kind, ProtoEventKind::kTag);
   EXPECT_EQ(records[0].reason, TagReason::kMigratoryDetect);
 
   // Replacing the owning copy breaks AD's hand-off chain: the engine's
@@ -242,7 +262,7 @@ TEST(TagAuditEngine, AdMigratoryDetectAndReplacementDetagAreAudited) {
   ax.f.force_eviction(2, a);
   records = ax.records();
   ASSERT_GE(records.size(), 2u);
-  EXPECT_EQ(records[1].event, TagAuditEvent::kDetag);
+  EXPECT_EQ(records[1].kind, ProtoEventKind::kDetag);
   EXPECT_EQ(records[1].reason, TagReason::kReplacement);
   EXPECT_EQ(records[1].node, 2u);
 }
@@ -275,15 +295,56 @@ TEST(TagAuditDriver, AuditCountsMatchEngineTagStatistics) {
     const DriverRun run = run_driver_workload_captured(options, kind);
     std::uint64_t tags = 0;
     std::uint64_t detags = 0;
-    run.audit.for_each([&](const TagAuditRecord& r) {
-      if (r.event == TagAuditEvent::kTag) ++tags;
-      if (r.event == TagAuditEvent::kDetag) ++detags;
+    run.audit.for_each([&](const CoherenceEvent& r) {
+      if (r.kind == ProtoEventKind::kTag) ++tags;
+      if (r.kind == ProtoEventKind::kDetag) ++detags;
     });
     ASSERT_EQ(run.audit.total(), run.audit.size())
         << "ring truncated; raise audit_capacity";
     EXPECT_EQ(tags, run.result.blocks_tagged) << to_string(kind);
     EXPECT_EQ(detags, run.result.blocks_detagged) << to_string(kind);
     EXPECT_GT(tags, 0u) << to_string(kind);
+  }
+}
+
+// The audit trail and the Perfetto trace consume one event stream, so a
+// tag decision must look the same in both. A small L2 makes AD de-tag on
+// replacement, where the decided block (the victim) is not the block the
+// access fills.
+TEST(TagAuditDriver, TagDecisionsMatchTraceInstants) {
+  DriverOptions options;
+  options.workload = "oltp";
+  options.params = {{"txns_per_proc", "300"}};
+  options.machine.l2.size_bytes = 32 * 1024;
+  options.trace_capacity = std::size_t{1} << 20;
+  options.audit_capacity = std::size_t{1} << 20;
+  using Decision = std::tuple<ProtoEventKind, Cycles, NodeId, Addr>;
+  const auto is_decision = [](ProtoEventKind k) {
+    return k == ProtoEventKind::kTag || k == ProtoEventKind::kDetag;
+  };
+  for (ProtocolKind kind : all_protocol_kinds()) {
+    const DriverRun run = run_driver_workload_captured(options, kind);
+    ASSERT_EQ(run.trace.dropped(), 0u) << to_string(kind);
+    ASSERT_EQ(run.audit.total(), run.audit.size()) << to_string(kind);
+    std::vector<Decision> audited;
+    run.audit.for_each([&](const CoherenceEvent& e) {
+      if (is_decision(e.kind)) {
+        audited.emplace_back(e.kind, e.time, e.node, e.block);
+      }
+    });
+    std::vector<Decision> traced;
+    for (const TraceInstant& i : run.trace.instants()) {
+      if (is_decision(i.kind)) {
+        traced.emplace_back(i.kind, i.time, i.node, i.block);
+      }
+    }
+    ASSERT_EQ(audited.size(), traced.size()) << to_string(kind);
+    for (std::size_t n = 0; n < audited.size(); ++n) {
+      ASSERT_EQ(audited[n], traced[n])
+          << to_string(kind) << " decision #" << n << ": audit block 0x"
+          << std::hex << std::get<3>(audited[n]) << ", trace block 0x"
+          << std::get<3>(traced[n]);
+    }
   }
 }
 

@@ -113,10 +113,15 @@ TEST(PerfettoTest, GoldenSmallTrace) {
 TEST(PerfettoTest, GoldenTwoProcessesWithEventLog) {
   const CoherenceTrace trace = make_small_trace();
   EventLog log(8);
-  log.record(42, ProtoEventKind::kWriteback, 0x100, 2, DirState::kUncached,
-             false);
-  log.record(57, ProtoEventKind::kLocalWrite, 0x1c0, 0, DirState::kUncached,
-             true);
+  log.record({.time = 42,
+              .block = 0x100,
+              .node = 2,
+              .kind = ProtoEventKind::kWriteback});
+  log.record({.time = 57,
+              .block = 0x1c0,
+              .node = 0,
+              .kind = ProtoEventKind::kLocalWrite,
+              .tagged = true});
   EXPECT_EQ(export_text({TraceProcess{"Baseline", &trace, nullptr},
                          TraceProcess{"log", nullptr, &log}}),
             R"({
@@ -434,8 +439,10 @@ TEST(PerfettoTest, MultiProcessExportAssignsDistinctPids) {
 
 TEST(PerfettoTest, EventLogExportsAsInstants) {
   EventLog log(8);
-  log.record(42, ProtoEventKind::kWriteback, 0x100, 2, DirState::kUncached,
-             false);
+  log.record({.time = 42,
+              .block = 0x100,
+              .node = 2,
+              .kind = ProtoEventKind::kWriteback});
   std::ostringstream os;
   write_chrome_trace(os, {TraceProcess{"log", nullptr, &log}});
   std::vector<ChromeTraceEvent> events;

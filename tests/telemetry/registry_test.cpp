@@ -77,6 +77,13 @@ TEST(HistogramTest, ObserveTracksMeanAndPercentile) {
   EXPECT_GE(h.percentile(1.0), 100000u);
 }
 
+TEST(HistogramTest, EmptyIsSafe) {
+  const HistogramData h;
+  EXPECT_EQ(h.samples, 0u);
+  EXPECT_DOUBLE_EQ(h.mean(), 0.0);
+  EXPECT_EQ(h.percentile(0.9), 0u);
+}
+
 TEST(RegistryTest, SnapshotIsSelfContained) {
   MetricsRegistry reg;
   const CounterHandle c = reg.counter("events");

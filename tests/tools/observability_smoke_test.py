@@ -5,8 +5,9 @@ Runs the lssim_run driver (path via $LSSIM_RUN) with the latency,
 audit, heartbeat and Perfetto outputs enabled on a small five-protocol pingpong sweep,
 then validates every artifact with tools/check_observability.py (path
 via $CHECK_OBSERVABILITY) — the same validator the CI smoke step uses.
-Also asserts the validator actually rejects corrupted artifacts, so a
-validator that rubber-stamps everything cannot pass.
+A second, untruncated two-protocol run exercises the audit-versus-trace
+cross-check. Also asserts the validator actually rejects corrupted
+artifacts, so a validator that rubber-stamps everything cannot pass.
 """
 
 import json
@@ -53,6 +54,25 @@ class ObservabilitySmokeTest(unittest.TestCase):
                 "--perfetto-out", cls.perfetto,
                 # Keeps the trace small and makes dropped_events > 0.
                 "--trace-capacity", "2048",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        if proc.returncode != 0:
+            raise RuntimeError(
+                "lssim_run failed (%d):\n%s" % (proc.returncode, proc.stderr)
+            )
+        # A second, untruncated pair: the validator cross-checks the audit
+        # trail against the trace only when neither dropped anything.
+        cls.full_audit = os.path.join(cls.tmp.name, "full_audit.jsonl")
+        cls.full_perfetto = os.path.join(cls.tmp.name, "full_trace.json")
+        proc = subprocess.run(
+            [
+                LSSIM_RUN,
+                "--workload", "pingpong",
+                "--protocols", "ad,ls",
+                "--audit-out", cls.full_audit,
+                "--perfetto-out", cls.full_perfetto,
             ],
             capture_output=True,
             text=True,
@@ -123,6 +143,30 @@ class ObservabilitySmokeTest(unittest.TestCase):
         proc = run_check("--audit", bad)
         self.assertEqual(proc.returncode, 1)
         self.assertIn("retained", proc.stderr)
+
+    def test_truncated_trace_skips_the_cross_check(self):
+        proc = run_check("--audit", self.audit, "--perfetto", self.perfetto)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertNotIn("audit vs perfetto", proc.stdout)
+
+    def test_audit_matches_trace_instants(self):
+        proc = run_check("--audit", self.full_audit,
+                         "--perfetto", self.full_perfetto)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("audit vs perfetto OK", proc.stdout)
+
+    def test_validator_rejects_instant_on_another_block(self):
+        with open(self.full_perfetto) as f:
+            doc = json.load(f)
+        detag = next(e for e in doc["traceEvents"]
+                     if e["ph"] == "i" and e["name"] in ("tag", "detag"))
+        detag["args"]["block"] = hex(int(detag["args"]["block"], 16) + 64)
+        bad = os.path.join(self.tmp.name, "bad_block_trace.json")
+        with open(bad, "w") as f:
+            json.dump(doc, f)
+        proc = run_check("--audit", self.full_audit, "--perfetto", bad)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("audit vs perfetto", proc.stderr)
 
     def corrupted_perfetto(self, mutate):
         with open(self.perfetto) as f:

@@ -19,6 +19,12 @@ Usage:
   check_observability.py --heartbeat FILE
   check_observability.py --perfetto FILE [--protocols A,B,...]
 (any combination may be given in one invocation)
+
+Given both --perfetto and --audit, and when neither artifact reports
+dropped or overwritten records, every audit tag/detag record must also
+appear as the Perfetto instant of the same name, in the same order, on
+the same (time, node, block): protocol -> process name, time -> ts,
+node -> tid, block -> args.block. Both are views of one event stream.
 """
 
 import argparse
@@ -28,6 +34,8 @@ import sys
 LATENCY_OPS = ("read-miss", "write-miss", "upgrade")
 
 AUDIT_EVENTS = {"tag", "detag", "tag-progress", "detag-progress"}
+# Audit events that the Perfetto trace also records, as instants.
+TAG_EVENTS = ("tag", "detag")
 AUDIT_REASONS = {
     "ls-sequence",
     "migratory-detect",
@@ -98,7 +106,9 @@ def check_latency(path, protocols):
     return len(runs)
 
 
-def check_audit(path, protocols):
+def check_audit(path, protocols, tag_events):
+    """Validates the audit trail; appends each protocol's tag/detag
+    records to `tag_events` ({protocol: [(event, time, node, block)]})."""
     records = 0
     summaries = {}
     per_protocol_records = {}
@@ -146,6 +156,9 @@ def check_audit(path, protocols):
             if proto in summaries:
                 fail("audit line %d: record after summary for %r"
                      % (lineno, proto))
+            if rec["event"] in TAG_EVENTS:
+                tag_events.setdefault(proto, []).append(
+                    (rec["event"], rec["time"], rec["node"], rec["block"]))
     if not summaries:
         fail("audit trail: no summary lines")
     for proto, summary in summaries.items():
@@ -157,7 +170,9 @@ def check_audit(path, protocols):
         if wanted not in summaries:
             fail("audit trail: protocol %r missing (have: %s)"
                  % (wanted, ", ".join(sorted(summaries))))
-    return records
+    overwritten = any(s["retained"] != s["recorded"]
+                      for s in summaries.values())
+    return records, overwritten
 
 
 def check_heartbeat(path):
@@ -203,7 +218,9 @@ def is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def check_perfetto(path, protocols):
+def check_perfetto(path, protocols, tag_events):
+    """Validates the trace; appends each process's tag/detag instants to
+    `tag_events` ({process name: [(name, ts, tid, block)]})."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
@@ -219,6 +236,8 @@ def check_perfetto(path, protocols):
     used_tids = set()
     named_tids = set()
     process_names = []
+    pid_names = {}
+    instants = {}
     for index, ev in enumerate(events):
         where = "perfetto event %d" % index
         if not isinstance(ev, dict):
@@ -242,6 +261,7 @@ def check_perfetto(path, protocols):
                 named_tids.add((ev["pid"], ev["tid"]))
             elif ev["name"] == "process_name":
                 process_names.append(args["name"])
+                pid_names[ev["pid"]] = args["name"]
             continue
         if not is_int(ev.get("ts")):
             fail("%s: %s event needs an integer ts" % (where, ph))
@@ -254,6 +274,15 @@ def check_perfetto(path, protocols):
             args = ev.get("args")
             if not isinstance(args, dict) or "block" not in args:
                 fail("%s: X event needs args.block" % where)
+        elif ev["name"] in TAG_EVENTS:
+            block = (ev.get("args") or {}).get("block")
+            try:
+                block = int(block, 16)
+            except (TypeError, ValueError):
+                fail("%s: %s instant needs a hex args.block"
+                     % (where, ev["name"]))
+            instants.setdefault(ev["pid"], []).append(
+                (ev["name"], ev["ts"], ev["tid"], block))
     unnamed = sorted(used_tids - named_tids)
     if unnamed:
         fail("perfetto trace: tid %d of pid %d has no thread_name metadata"
@@ -262,7 +291,27 @@ def check_perfetto(path, protocols):
         if wanted not in process_names:
             fail("perfetto trace: protocol %r missing (have: %s)"
                  % (wanted, ", ".join(process_names)))
-    return len(events)
+    for pid, events_of_pid in instants.items():
+        tag_events[pid_names.get(pid, "pid %d" % pid)] = events_of_pid
+    return len(events), other["dropped_events"] > 0
+
+
+def cross_check_tags(audit_tags, trace_tags):
+    """Each protocol's audit tag/detag records against its Perfetto
+    instants: same events, same order."""
+    for proto in sorted(set(audit_tags) | set(trace_tags)):
+        audit = audit_tags.get(proto, [])
+        trace = trace_tags.get(proto, [])
+        for i, (a, t) in enumerate(zip(audit, trace)):
+            if a != t:
+                fail("audit vs perfetto: %s %s #%d differs: audit "
+                     "(time %d, node %d, block 0x%x), trace "
+                     "(ts %d, tid %d, block 0x%x)"
+                     % (proto, a[0], i, a[1], a[2], a[3], t[1], t[2], t[3]))
+        if len(audit) != len(trace):
+            fail("audit vs perfetto: %s has %d tag/detag audit records "
+                 "but %d trace instants" % (proto, len(audit), len(trace)))
+    return sum(len(v) for v in audit_tags.values())
 
 
 def main():
@@ -285,15 +334,22 @@ def main():
         if args.latency:
             n = check_latency(args.latency, protocols)
             print("latency report OK: %d run(s)" % n)
+        audit_tags, trace_tags = {}, {}
+        audit_complete = trace_complete = False
         if args.audit:
-            n = check_audit(args.audit, protocols)
+            n, overwritten = check_audit(args.audit, protocols, audit_tags)
+            audit_complete = not overwritten
             print("audit trail OK: %d record(s)" % n)
         if args.heartbeat:
             n = check_heartbeat(args.heartbeat)
             print("heartbeat OK: %d line(s)" % n)
         if args.perfetto:
-            n = check_perfetto(args.perfetto, protocols)
+            n, dropped = check_perfetto(args.perfetto, protocols, trace_tags)
+            trace_complete = not dropped
             print("perfetto trace OK: %d event(s)" % n)
+        if audit_complete and trace_complete:
+            n = cross_check_tags(audit_tags, trace_tags)
+            print("audit vs perfetto OK: %d tag/detag event(s)" % n)
     except SchemaError as ex:
         print("check_observability: %s" % ex, file=sys.stderr)
         return 1
