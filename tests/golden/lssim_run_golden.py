@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Golden sha256 digests of lssim_run's output and artifacts.
 
-Runs three fixed lssim_run invocations and digests what each leaves
+Runs fixed lssim_run invocations and digests what each leaves
 behind: stdout, the Perfetto trace (one digest per protocol process plus
 one for the document header), the audit trail, the metrics, the latency
 report and the manifest with `wall_seconds` stripped. The digests live in
@@ -35,6 +35,25 @@ RUNS = [
                              "--set", "txns_per_proc=300"]),
     ("stencil-32n-ls", ["--workload", "stencil", "--procs", "32",
                         "--protocol", "LS"]),
+]
+
+# Every protocol x organisation x transport on 8 nodes. Two pointers,
+# two-node regions and 256 entries make Dir_2B overflow, imprecise coarse
+# sharer sets and sparse evictions reach every home state. Small trace
+# and audit rings keep the 80-run artifacts a few MB.
+MATRIX = ["--procs", "8",
+          "--protocols", "Baseline,AD,LS,ILS,LS+AD,MESI,MOESI,Dragon,"
+                         "LS+MESI,LS+Dragon",
+          "--directories", "full-map,limited-ptr,coarse,sparse",
+          "--interconnects", "network,bus",
+          "--dir-pointers", "2", "--dir-region", "2", "--dir-entries", "256",
+          "--trace-capacity", "1000", "--audit-capacity", "1000"]
+RUNS += [
+    ("oltp-matrix", ["--workload", "oltp", "--set", "txns_per_proc=300",
+                     "--l2", "32k", *MATRIX]),
+    ("mp3d-matrix", ["--workload", "mp3d", "--set", "particles=500",
+                     "--set", "steps=2", *MATRIX]),
+    ("pingpong-matrix", ["--workload", "pingpong", *MATRIX]),
 ]
 
 ARTIFACTS = {
