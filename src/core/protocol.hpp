@@ -185,6 +185,25 @@ class MemorySystem {
   // cache readout (owner replies); free for same-node.
   Cycles leg_noegress(NodeId src, NodeId dst, MsgType type, Cycles t);
 
+  // How a transaction reaches the block's other holders. These three are
+  // the only places that tell the directory network from the snooping
+  // bus, whose request broadcast already reached every cache.
+  //
+  // Invalidates (survivors == nullptr) or Dragon-updates every target on
+  // `node`'s behalf: serial home -> target legs one controller pass apart
+  // from `issue`, each acked to `node`, none on the bus. Counts
+  // invalidations_sent / updates_sent; an update adds the targets still
+  // holding a copy to `*survivors`. Returns the last ack (`issue` if none).
+  Cycles fan_out(NodeId home, NodeId node, Addr block,
+                 const SharerSet& targets, Cycles issue,
+                 SharerSet* survivors);
+  // Moves `owner`'s data to `node` from `t`: cache to cache on the bus,
+  // or `to_home` to the home (a memory update) and `reply` on from there.
+  Cycles supply(NodeId owner, NodeId home, NodeId node, MsgType to_home,
+                MsgType reply, Cycles t);
+  // The home's directed forward of a request to `owner` (free on the bus).
+  Cycles forward(NodeId home, NodeId owner, MsgType type, Cycles t);
+
   Cycles do_read_miss(NodeId node, Addr block, Cycles now,
                       bool predicted_exclusive, std::uint32_t site);
   Cycles do_write_global(NodeId node, Addr block, Cycles now, bool upgrade);
