@@ -153,5 +153,68 @@ TEST(ProtocolEdge, RmwOnTaggedBlockCountsAsEliminated) {
   EXPECT_EQ(f.stats().eliminated_acquisitions, 1u);
 }
 
+// An imprecise believed set can cover an Owned block's owner: here the
+// owner shares its two-node coarse region with the one sharer. A write
+// miss reaches the owner once, as the supplier, and never also
+// invalidates or updates it as a sharer.
+TEST(ProtocolEdge, WriteMissReachesAnOwnedOwnerInASharersRegionOnce) {
+  for (const ProtocolKind kind :
+       {ProtocolKind::kMoesi, ProtocolKind::kDragon}) {
+    SCOPED_TRACE(to_string(kind));
+    MachineConfig cfg = ProtocolFixture::tiny(kind);
+    cfg.directory_scheme = DirectoryKind::kCoarseVector;
+    cfg.directory_region = 2;  // Nodes 0 and 1 share one presence bit.
+    ProtocolFixture f(cfg);
+    const Addr a = f.on_home(3);
+    (void)f.write(0, a, 1);
+    (void)f.read(1, a);  // Node 0 keeps the dirty block: Owned.
+    ASSERT_EQ(f.dir(a).state, DirState::kOwned);
+    const Stats before = f.stats();
+    (void)f.write(2, a, 2);
+    // ReadExReq, WriteFwd to the owner, one invalidate (or update) and
+    // its ack for sharer 1, OwnerXferAck and the data reply.
+    EXPECT_EQ(f.stats().messages_total() - before.messages_total(), 6u);
+    if (kind == ProtocolKind::kMoesi) {
+      EXPECT_EQ(f.stats().invalidations_sent - before.invalidations_sent, 1u);
+      EXPECT_EQ(f.stats().single_invalidations - before.single_invalidations,
+                1u);
+      EXPECT_EQ(f.state_of(0, a), CacheState::kInvalid);
+      EXPECT_EQ(f.state_of(1, a), CacheState::kInvalid);
+      EXPECT_EQ(f.state_of(2, a), CacheState::kModified);
+    } else {
+      // Sharer 1 updated by fan-out, owner 0 by its own supply.
+      EXPECT_EQ(f.stats().updates_sent - before.updates_sent, 2u);
+      EXPECT_EQ(f.state_of(0, a), CacheState::kShared);
+      EXPECT_EQ(f.state_of(1, a), CacheState::kShared);
+      EXPECT_EQ(f.state_of(2, a), CacheState::kOwned);
+    }
+    EXPECT_EQ(f.dir(a).owner, 2u);
+    EXPECT_EQ(coherence_violations(f.ms()), kNoViolations);
+  }
+}
+
+// The same coverage past 64 nodes, where sparse presence bits span two
+// nodes: evicting the Owned entry purges the sharer and writes the
+// owner's copy back, each once.
+TEST(ProtocolEdge, SparseEvictionPurgesAnOwnedOwnerOnce) {
+  MachineConfig cfg = ProtocolFixture::tiny(ProtocolKind::kMoesi);
+  cfg.num_nodes = 128;
+  cfg.directory_scheme = DirectoryKind::kSparse;
+  cfg.directory_entries = 1;
+  ProtocolFixture f(cfg);
+  const Addr a = f.on_home(3);
+  (void)f.write(0, a, 1);
+  (void)f.read(1, a);  // Owned by node 0; nodes 0 and 1 share a bit.
+  ASSERT_EQ(f.dir(a).state, DirState::kOwned);
+  const Stats before = f.stats();
+  (void)f.read(2, f.on_home(2));  // A local miss evicts a's entry.
+  EXPECT_EQ(f.stats().dir_entry_evictions, 1u);
+  // Inval + InvalAck for sharer 1, Inval + WritebackData for owner 0.
+  EXPECT_EQ(f.stats().messages_total() - before.messages_total(), 4u);
+  EXPECT_EQ(f.state_of(0, a), CacheState::kInvalid);
+  EXPECT_EQ(f.state_of(1, a), CacheState::kInvalid);
+  EXPECT_EQ(coherence_violations(f.ms()), kNoViolations);
+}
+
 }  // namespace
 }  // namespace lssim
