@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "machine/system.hpp"
 
@@ -47,10 +48,18 @@ struct OltpParams {
   int balance_interval = 32;   ///< OS load-balance scan every Nth txn.
   Cycles think_cycles = 700;
   std::uint64_t seed = 7;
+
+  /// Empty when these parameters fit a `procs`-processor machine,
+  /// otherwise a description of the problem: every processor needs a
+  /// home branch (branches >= procs), and every processor's hot span
+  /// must lie inside the account table (procs x hot_accounts <=
+  /// accounts).
+  [[nodiscard]] std::string validate(int procs) const;
 };
 
 /// Allocates the database and OS structures on `sys` and spawns one
-/// worker per processor.
+/// worker per processor. Throws std::invalid_argument when `params` do
+/// not fit the machine (OltpParams::validate).
 void build_oltp(System& sys, const OltpParams& params);
 
 }  // namespace lssim

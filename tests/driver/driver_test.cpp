@@ -349,6 +349,24 @@ TEST(DriverRunner, RejectsMalformedParameterValueNamingTheKey) {
   EXPECT_EQ(param_error("oltp", "lookup_fraction", "0.25"), "");
 }
 
+TEST(DriverRunner, RejectsOltpHotSpansPastTheAccountTable) {
+  // 32 default hot spans of 65536 accounts exceed the 2^20-account table;
+  // 16 fill it exactly.
+  DriverOptions options;
+  options.workload = "oltp";
+  options.machine.num_nodes = 32;
+  try {
+    (void)make_driver_builder(options);
+    ADD_FAILURE() << "32 processors' hot spans were accepted";
+  } catch (const WorkloadParamError& ex) {
+    const std::string message = ex.what();
+    EXPECT_NE(message.find("hot_accounts (65536)"), std::string::npos);
+    EXPECT_NE(message.find("accounts (1048576)"), std::string::npos);
+  }
+  options.machine.num_nodes = 16;
+  EXPECT_NO_THROW((void)make_driver_builder(options));
+}
+
 TEST(DriverRunner, RejectsInvalidMachine) {
   DriverOptions options;
   options.workload = "pingpong";

@@ -38,6 +38,14 @@ class SetParamCliTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 2, proc.stderr)
         self.assertIn("rounds", proc.stderr)
 
+    def test_oltp_hot_spans_past_the_account_table_exit_2(self):
+        proc = subprocess.run([LSSIM_RUN, "--workload", "oltp",
+                               "--procs", "32"],
+                              capture_output=True, text=True)
+        self.assertEqual(proc.returncode, 2, proc.stderr)
+        self.assertIn("hot_accounts", proc.stderr)
+        self.assertIn("accounts (1048576)", proc.stderr)
+
     def test_unknown_key_stays_a_runtime_error(self):
         proc = run("--set", "bogus=1")
         self.assertEqual(proc.returncode, 1, proc.stderr)

@@ -115,7 +115,10 @@ const std::vector<SmallWorkload>& small_workloads() {
       {"cholesky", {{"n", "40"}, {"bandwidth", "16"}}},
       {"lu", {{"n", "24"}}},
       {"oltp",
-       {{"txns_per_proc", "60"}, {"accounts", "4096"}, {"branches", "4"}}},
+       {{"txns_per_proc", "60"},
+        {"accounts", "4096"},
+        {"hot_accounts", "512"},
+        {"branches", "4"}}},
       {"radix", {{"keys", "1024"}}},
       {"stencil", {{"width", "16"}, {"height", "16"}, {"sweeps", "2"}}},
       {"pingpong", {{"rounds", "40"}}},
@@ -153,7 +156,10 @@ TEST(SpinPark, EveryWorkloadUnderEveryProtocol) {
 TEST(SpinPark, EveryDirectoryOnNetworkAndBus) {
   const WorkloadBuilder oltp = driver_builder(
       "oltp",
-      {{"txns_per_proc", "80"}, {"accounts", "4096"}, {"branches", "4"}});
+      {{"txns_per_proc", "80"},
+       {"accounts", "4096"},
+       {"hot_accounts", "512"},
+       {"branches", "8"}});
   const WorkloadBuilder stencil = driver_builder(
       "stencil", {{"width", "32"}, {"height", "32"}, {"sweeps", "2"}});
   for (const DirectoryKind dir :
@@ -223,6 +229,7 @@ TEST(SpinPark, TelemetryMetricsAndArtifactsAgree) {
     EXPECT_GT(parked_probes(cfg,
                             driver_builder("oltp", {{"txns_per_proc", "60"},
                                                     {"accounts", "4096"},
+                                                    {"hot_accounts", "512"},
                                                     {"branches", "4"}}),
                             to_string(kind)),
               0u);

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "../coherence_check.hpp"
 #include "workloads/harness.hpp"
 
@@ -43,6 +46,21 @@ TEST(Oltp, CoherenceInvariantsHoldAfterRun) {
   build_oltp(sys, small_params());
   sys.run();
   EXPECT_EQ(coherence_violations(sys.memory()), kNoViolations);
+}
+
+TEST(Oltp, RejectsHotSpansPastTheAccountTable) {
+  // Four processors' hot spans of 512 need 2048 accounts.
+  OltpParams p = small_params();
+  p.accounts = 2047;
+  System sys(oltp_cfg(ProtocolKind::kLs));
+  EXPECT_THROW(build_oltp(sys, p), std::invalid_argument);
+  EXPECT_NE(p.validate(4).find("hot_accounts"), std::string::npos);
+  EXPECT_NE(p.validate(4).find("accounts (2047)"), std::string::npos);
+  p.accounts = 2048;
+  EXPECT_EQ(p.validate(4), "");
+  // Every processor needs a home branch.
+  p.branches = 3;
+  EXPECT_NE(p.validate(4).find("branches (3) < procs (4)"), std::string::npos);
 }
 
 TEST(Oltp, AllStreamComponentsAppear) {
