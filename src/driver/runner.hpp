@@ -34,7 +34,8 @@ class WorkloadParamError : public std::invalid_argument {
 WorkloadBuilder make_driver_builder(const DriverOptions& options);
 
 /// Runs `options.workload` under `kind`; throws std::invalid_argument on
-/// unknown workloads or bad parameters.
+/// unknown workloads, bad parameters or an invalid machine (System
+/// validates it before building anything).
 RunResult run_driver_workload(const DriverOptions& options,
                               ProtocolKind kind);
 
