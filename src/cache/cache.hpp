@@ -134,14 +134,6 @@ class Cache {
     }
   }
 
-  /// Host-cache warming hint for trace replay: pulls `block`'s set into
-  /// the host cache ahead of the access that will probe it. No simulated
-  /// effect whatsoever — purely a memory-latency optimisation for
-  /// callers that know future accesses (the replay engine does).
-  void prefetch(Addr block) const noexcept {
-    __builtin_prefetch(&lines_[set_index(block) * config_.assoc], 1);
-  }
-
   [[nodiscard]] std::uint32_t block_bytes() const noexcept {
     return config_.block_bytes;
   }

@@ -10,22 +10,19 @@
 // under coarse-vector/sparse. The bitmap helpers below are the full-map
 // encoding's accessors, used by the full-map policy and by tests.
 //
-// Storage is an open-addressing flat hash table (power-of-two capacity,
-// linear probing, no tombstones — backward-shift deletion keeps probe
-// chains intact for the sparse organisation's evictions) rather than
-// std::unordered_map: the directory is consulted on every global access,
-// so the hot path is one multiply-shift hash plus a short probe over a
-// contiguous 24-byte-slot array instead of a bucket pointer chase. A
-// one-entry MRU cache short-circuits the common same-block re-access
-// (spin-lock hand-offs, load-store sequences). See docs/PERFORMANCE.md.
+// Entries live in a BlockTable (sim/block_table.hpp), the flat
+// open-addressing table the load-store oracle also uses: one
+// multiply-shift hash plus a short probe over 24-byte slots, an MRU slot
+// for same-block re-access, and backward-shift erase for the sparse
+// organisation's evictions. Directory adds entry creation on top: the
+// §5.5 default-tagged variation and the entries-created metric.
 #pragma once
 
-#include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cstdint>
-#include <vector>
+#include <utility>
 
+#include "sim/block_table.hpp"
 #include "sim/types.hpp"
 #include "telemetry/registry.hpp"
 
@@ -119,221 +116,51 @@ class Directory {
   /// their entries already exist), which keeps every held reference
   /// valid for the duration of a transaction.
   [[nodiscard]] DirEntry& entry(Addr block) {
-    assert(block != kEmptyKey && "block address collides with sentinel");
-    if (mru_key_ == block) {
-      return slots_[mru_index_].entry;
-    }
-    if (slots_.empty()) {
-      grow(kInitialCapacity);
-    }
-    std::size_t i = probe_start(block);
-    while (true) {
-      Slot& slot = slots_[i];
-      if (slot.key == block) {
-        remember(block, i);
-        return slot.entry;
+    return table_.entry(block, [this](DirEntry& e) {
+      e.tagged = default_tagged_;
+      if (metrics_ != nullptr) {
+        metrics_->add(entries_created_);
       }
-      if (slot.key == kEmptyKey) {
-        if (size_ + 1 > capacity_limit()) {
-          grow(slots_.size() * 2);
-          return insert_new(block);  // Re-probe in the grown table.
-        }
-        return fill_slot(i, block);
-      }
-      i = (i + 1) & mask_;
-    }
-  }
-
-  /// Host-cache warming hint: pulls `block`'s home probe slot into the
-  /// host cache ahead of the entry() an upcoming global transaction will
-  /// perform. No simulated effect (see Cache::prefetch).
-  void prefetch(Addr block) const noexcept {
-    if (!slots_.empty()) {
-      __builtin_prefetch(&slots_[probe_start(block)], 1);
-    }
+    });
   }
 
   /// Read-only lookup that does not create an entry.
   [[nodiscard]] const DirEntry* find(Addr block) const noexcept {
-    // The sentinel would false-hit the MRU check of a never-grown table
-    // (mru_key_ starts as kEmptyKey) and index an empty slot vector.
-    assert(block != kEmptyKey && "block address collides with sentinel");
-    if (mru_key_ == block) {
-      return &slots_[mru_index_].entry;
-    }
-    if (slots_.empty()) {
-      return nullptr;
-    }
-    std::size_t i = probe_start(block);
-    while (true) {
-      const Slot& slot = slots_[i];
-      if (slot.key == block) {
-        return &slot.entry;
-      }
-      if (slot.key == kEmptyKey) {
-        return nullptr;
-      }
-      i = (i + 1) & mask_;
-    }
+    return table_.find(block);
   }
 
-  /// Removes `block`'s entry (sparse-organisation eviction). Uses
-  /// backward-shift deletion so probe chains need no tombstones; any
-  /// held entry reference and the MRU cache are invalidated. Returns
-  /// false when no entry exists.
-  bool erase(Addr block) noexcept {
-    assert(block != kEmptyKey && "block address collides with sentinel");
-    if (slots_.empty()) {
-      return false;
-    }
-    std::size_t i = probe_start(block);
-    while (slots_[i].key != block) {
-      if (slots_[i].key == kEmptyKey) {
-        return false;
-      }
-      i = (i + 1) & mask_;
-    }
-    std::size_t hole = i;
-    std::size_t j = i;
-    while (true) {
-      j = (j + 1) & mask_;
-      if (slots_[j].key == kEmptyKey) {
-        break;
-      }
-      // Slot j's element may shift up only if its preferred position
-      // lies at or before the hole (cyclic probe distance).
-      const std::size_t preferred = probe_start(slots_[j].key);
-      if (((j - preferred) & mask_) >= ((j - hole) & mask_)) {
-        slots_[hole] = slots_[j];
-        hole = j;
-      }
-    }
-    slots_[hole] = Slot{};
-    size_ -= 1;
-    mru_key_ = kEmptyKey;  // Slots may have shifted.
-    return true;
-  }
+  /// Removes `block`'s entry (sparse-organisation eviction); any held
+  /// entry reference is invalidated. Returns false when no entry exists.
+  bool erase(Addr block) noexcept { return table_.erase(block); }
 
   /// Pre-sizes the table so `entries` entries fit without growing —
   /// entry() then never invalidates references by rehashing (the sparse
   /// organisation relies on this: its population is bounded up front).
-  void reserve(std::size_t entries) {
-    std::size_t capacity = std::max(slots_.size(), kInitialCapacity);
-    while (capacity - capacity / 4 < entries) {
-      capacity *= 2;
-    }
-    if (capacity > slots_.size()) {
-      grow(capacity);
-    }
-  }
+  void reserve(std::size_t entries) { table_.reserve(entries); }
 
   /// Deterministic eviction victim for inserting `block` into a full
   /// sparse directory: the first occupied slot at or after `block`'s
   /// preferred position — the entry a real set-limited directory cache
-  /// would displace. The table must be non-empty.
+  /// would displace. The directory must be non-empty.
   [[nodiscard]] Addr victim_for(Addr block) const noexcept {
-    assert(size_ > 0);
-    std::size_t i = probe_start(block);
-    while (slots_[i].key == kEmptyKey) {
-      i = (i + 1) & mask_;
-    }
-    return slots_[i].key;
+    return table_.victim_for(block);
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] std::size_t size() const noexcept { return table_.size(); }
 
   /// Allocated slots (tests; always a power of two once non-empty).
   [[nodiscard]] std::size_t capacity() const noexcept {
-    return slots_.size();
+    return table_.capacity();
   }
 
-  /// Visits every entry in slot order (unspecified, like the map it
-  /// replaced — callers must not depend on it).
+  /// Visits every entry in slot order, which callers must not depend on.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const Slot& slot : slots_) {
-      if (slot.key != kEmptyKey) fn(slot.key, slot.entry);
-    }
+    table_.for_each(std::forward<Fn>(fn));
   }
 
  private:
-  struct Slot {
-    Addr key = kEmptyKey;
-    DirEntry entry;
-  };
-
-  /// Block addresses are block-aligned (blocks are >= 8 bytes), so the
-  /// all-ones address can never name a real block.
-  static constexpr Addr kEmptyKey = ~Addr{0};
-  static constexpr std::size_t kInitialCapacity = 256;
-
-  [[nodiscard]] std::size_t probe_start(Addr block) const noexcept {
-    // Fibonacci multiply-shift: block addresses share low zero bits
-    // (block alignment) and arithmetic strides; the multiply diffuses
-    // both into the top bits we keep.
-    return static_cast<std::size_t>(
-               (block * 0x9E3779B97F4A7C15ull) >> shift_) &
-           mask_;
-  }
-
-  /// Grow threshold: 3/4 load factor keeps linear probe chains short.
-  [[nodiscard]] std::size_t capacity_limit() const noexcept {
-    return slots_.size() - slots_.size() / 4;
-  }
-
-  DirEntry& fill_slot(std::size_t i, Addr block) {
-    Slot& slot = slots_[i];
-    slot.key = block;
-    slot.entry = DirEntry{};
-    if (default_tagged_) {
-      slot.entry.tagged = true;
-    }
-    size_ += 1;
-    if (metrics_ != nullptr) {
-      metrics_->add(entries_created_);
-    }
-    remember(block, i);
-    return slot.entry;
-  }
-
-  /// Slow path after a grow: probe again (slots moved) and fill.
-  DirEntry& insert_new(Addr block) {
-    std::size_t i = probe_start(block);
-    while (slots_[i].key != kEmptyKey) {
-      assert(slots_[i].key != block);
-      i = (i + 1) & mask_;
-    }
-    return fill_slot(i, block);
-  }
-
-  void grow(std::size_t new_capacity) {
-    assert((new_capacity & (new_capacity - 1)) == 0);
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(new_capacity, Slot{});
-    mask_ = new_capacity - 1;
-    shift_ = 64 - std::countr_zero(new_capacity);
-    mru_key_ = kEmptyKey;  // Slot indices moved.
-    for (const Slot& slot : old) {
-      if (slot.key == kEmptyKey) continue;
-      std::size_t i = probe_start(slot.key);
-      while (slots_[i].key != kEmptyKey) {
-        i = (i + 1) & mask_;
-      }
-      slots_[i] = slot;
-    }
-  }
-
-  void remember(Addr block, std::size_t index) noexcept {
-    mru_key_ = block;
-    mru_index_ = index;
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t size_ = 0;
-  std::size_t mask_ = 0;
-  unsigned shift_ = 64;
-  Addr mru_key_ = kEmptyKey;
-  std::size_t mru_index_ = 0;
+  BlockTable<DirEntry> table_;
   bool default_tagged_;
   MetricsRegistry* metrics_ = nullptr;
   CounterHandle entries_created_;

@@ -103,21 +103,6 @@ class MemorySystem {
   /// driving workload or attached checker requires real values).
   void enable_lean_replay() noexcept { lean_replay_ = true; }
 
-  /// Host-cache warming hint for callers that know a node's *future*
-  /// accesses (the replay engine does; a live workload cannot): pulls the
-  /// simulated L1/L2 sets, directory probe slot and oracle slot that
-  /// `access(node, addr, ...)` will touch into the host cache. Purely a
-  /// host-side latency optimisation — no simulated state is read or
-  /// written, so results are identical with or without the hint.
-  void prefetch(NodeId node, Addr addr) const noexcept {
-    const CacheHierarchy& ch = caches_[node];
-    const Addr block = ch.l2().block_of(addr);
-    ch.l1().prefetch(block);
-    ch.l2().prefetch(block);
-    dir_.prefetch(block);
-    oracle_.prefetch(block);
-  }
-
   /// End-of-run bookkeeping: resolves deferred false-sharing
   /// classifications for lines still resident.
   void finalize();

@@ -12,13 +12,17 @@
 // because the line was held exclusive-unwritten (LStemp), which would
 // have been global write actions under the baseline protocol. This makes
 // Table 3's coverage ratios directly measurable in an LS or AD run.
+//
+// Per-block state lives in a BlockTable (sim/block_table.hpp), the flat
+// open-addressing table the home directory also uses: the oracle is
+// consulted on every global transaction. Values are never erased and the
+// table is never iterated, so its layout is unobservable.
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstdint>
-#include <vector>
 
+#include "sim/block_table.hpp"
 #include "sim/types.hpp"
 
 namespace lssim {
@@ -76,44 +80,17 @@ class LoadStoreOracle {
 
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
-  /// Host-cache warming hint: pulls `block`'s probe slot into the host
-  /// cache ahead of an upcoming access. No simulated effect (see
-  /// Cache::prefetch).
-  void prefetch(Addr block) const noexcept {
-    if (enabled_ && !slots_.empty()) {
-      __builtin_prefetch(&slots_[probe_start(block)], 1);
-    }
-  }
-
   void on_global_read(NodeId node, Addr block) {
     if (!enabled_) return;
-    state_for(block).pending_reader = node;
+    blocks_.entry(block).pending_reader = node;
   }
-
-  /// Pre-sizes the table so `blocks` distinct blocks fit without
-  /// growing. The table is never iterated and slots are never erased, so
-  /// capacity is unobservable — results are identical, only the
-  /// grow-rehash churn disappears. The replay engine uses the population
-  /// observed on an earlier replay of the same trace as the hint.
-  void reserve(std::size_t blocks) {
-    std::size_t capacity = std::max(slots_.size(), kInitialCapacity);
-    while (capacity - capacity / 4 < blocks) {
-      capacity *= 2;
-    }
-    if (capacity > slots_.size()) {
-      grow(capacity);
-    }
-  }
-
-  /// Distinct blocks tracked so far (replay pre-sizing, tests).
-  [[nodiscard]] std::size_t population() const noexcept { return size_; }
 
   /// `eliminated` marks a would-be global write satisfied locally in
   /// state LStemp.
   void on_global_write(NodeId node, Addr block, bool eliminated,
                        StreamTag tag) {
     if (!enabled_) return;
-    BlockState& st = state_for(block);
+    BlockState& st = blocks_.entry(block);
     const bool is_ls = st.pending_reader == node;
     const bool is_migratory =
         is_ls && st.last_ls_owner != kInvalidNode && st.last_ls_owner != node;
@@ -147,76 +124,9 @@ class LoadStoreOracle {
     NodeId last_ls_owner = kInvalidNode;
   };
 
-  // Per-block state lives in an open-addressing flat table (same layout
-  // rationale as core/directory.hpp): the oracle is consulted on every
-  // global transaction, and a contiguous 16-byte-slot probe beats a
-  // node-based map's bucket chase. Slots are never erased and the table
-  // is never iterated, so growth is the only structural operation.
-  struct Slot {
-    Addr key = kEmptyKey;
-    BlockState state;
-  };
-
-  /// Block addresses are block-aligned, so the all-ones address can
-  /// never name a real block.
-  static constexpr Addr kEmptyKey = ~Addr{0};
-  static constexpr std::size_t kInitialCapacity = 256;
-
-  [[nodiscard]] std::size_t probe_start(Addr block) const noexcept {
-    // Fibonacci multiply-shift, as in the directory: diffuses the block
-    // alignment's low zero bits into the kept top bits.
-    return static_cast<std::size_t>(
-               (block * 0x9E3779B97F4A7C15ull) >> shift_) &
-           mask_;
-  }
-
-  void grow(std::size_t capacity) {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(capacity, Slot{});
-    mask_ = capacity - 1;
-    shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
-    for (const Slot& s : old) {
-      if (s.key == kEmptyKey) continue;
-      std::size_t i = probe_start(s.key);
-      while (slots_[i].key != kEmptyKey) {
-        i = (i + 1) & mask_;
-      }
-      slots_[i] = s;
-    }
-  }
-
-  [[nodiscard]] BlockState& state_for(Addr block) {
-    if (slots_.empty()) {
-      grow(kInitialCapacity);
-    }
-    for (;;) {
-      std::size_t i = probe_start(block);
-      for (;; i = (i + 1) & mask_) {
-        Slot& s = slots_[i];
-        if (s.key == block) {
-          return s.state;
-        }
-        if (s.key == kEmptyKey) {
-          break;
-        }
-      }
-      // 3/4 load-factor ceiling keeps probe chains short.
-      if (size_ + 1 > slots_.size() - slots_.size() / 4) {
-        grow(slots_.size() * 2);
-        continue;  // Re-probe in the grown table.
-      }
-      slots_[i].key = block;
-      size_ += 1;
-      return slots_[i].state;
-    }
-  }
-
   bool enabled_;
   std::array<LsOracleCounters, kNumStreamTags> per_tag_{};
-  std::vector<Slot> slots_;
-  std::size_t size_ = 0;
-  std::size_t mask_ = 0;
-  unsigned shift_ = 64;
+  BlockTable<BlockState> blocks_;
 };
 
 }  // namespace lssim

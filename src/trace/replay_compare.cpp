@@ -113,19 +113,6 @@ RunResult ReplayCompareEngine::replay_collect(const MachineConfig& config,
   // No workload consumes the replayed values and no checker is attached:
   // skip the simulated data movement (stat-neutral; see protocol.hpp).
   memory.enable_lean_replay();
-  // Pre-size the block-keyed tables from an earlier replay's observed
-  // population (see the hint members' doc for why this is unobservable
-  // and why the directory hint is full-map-only).
-  if (const std::size_t hint =
-          oracle_population_hint_.load(std::memory_order_relaxed);
-      hint != 0) {
-    memory.oracle().reserve(hint);
-  }
-  if (const std::size_t hint =
-          dir_population_hint_.load(std::memory_order_relaxed);
-      hint != 0 && config.directory_scheme == DirectoryKind::kFullMap) {
-    memory.directory().reserve(hint);
-  }
 
   const auto& final_gaps = trace_->meta().final_gaps;
   const std::size_t nodes = streams_.size();
@@ -162,12 +149,6 @@ RunResult ReplayCompareEngine::replay_collect(const MachineConfig& config,
     if (cursor[best] < streams_[best].size()) {
       const DecodedAccess& up = streams_[best][cursor[best]];
       sched.update(best, clock[best] + up.gap);
-      // The replay engine knows each node's future accesses — something a
-      // live execution never does. Warm the host cache for the simulated
-      // structures the upcoming access will probe; by the time this node
-      // issues again, other nodes' accesses have covered the miss
-      // latency. Stat-neutral: prefetch touches no simulated state.
-      memory.prefetch(static_cast<NodeId>(best), up.addr);
     } else {
       sched.update(best, IssueScheduler::kRetired);
     }
@@ -185,21 +166,6 @@ RunResult ReplayCompareEngine::replay_collect(const MachineConfig& config,
     clock_sum += clock[n];
   }
   memory.finalize();
-  // Publish the populations this replay discovered for the next cell.
-  // Different protocols tag differently but touch the same block set, so
-  // any cell's population is the right hint for every other; max() keeps
-  // the largest seen under concurrent publication.
-  const std::size_t dir_seen = memory.directory().size();
-  std::size_t prev = dir_population_hint_.load(std::memory_order_relaxed);
-  while (prev < dir_seen && !dir_population_hint_.compare_exchange_weak(
-                                prev, dir_seen, std::memory_order_relaxed)) {
-  }
-  const std::size_t oracle_seen = memory.oracle().population();
-  prev = oracle_population_hint_.load(std::memory_order_relaxed);
-  while (prev < oracle_seen &&
-         !oracle_population_hint_.compare_exchange_weak(
-             prev, oracle_seen, std::memory_order_relaxed)) {
-  }
   if (total_cycles != nullptr) {
     *total_cycles = clock_sum;
   }

@@ -22,7 +22,6 @@
 // docs/PERFORMANCE.md "Capture once, replay many").
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -137,17 +136,6 @@ class ReplayCompareEngine {
   /// Per-node program-order access streams — precomputed once, shared
   /// read-only by every replay.
   std::vector<std::vector<DecodedAccess>> streams_;
-  /// Block populations observed by earlier replays of this trace: the
-  /// next replay pre-sizes its directory and oracle tables to skip the
-  /// grow-rehash ramp (a replay-many advantage execution can never have
-  /// — a live run discovers its working set as it goes). Capacity is
-  /// unobservable for the oracle always, and for the directory under the
-  /// full-map organisation (no evictions); sparse-family organisations
-  /// pick eviction victims by probe order, so the directory hint is
-  /// applied only to full-map machines. Relaxed atomics: replay_matrix
-  /// runs cells concurrently and any published value is a valid hint.
-  mutable std::atomic<std::size_t> dir_population_hint_{0};
-  mutable std::atomic<std::size_t> oracle_population_hint_{0};
 };
 
 /// Field-by-field comparison of an executed run against its replay: one

@@ -1,89 +1,15 @@
-// Flat-hash storage behaviour of Directory: growth, probing and iteration
-// parity against a reference map. Protocol-visible semantics (entry
-// creation, default_tagged, find) are in directory_test.cpp; these tests
-// stress the open-addressing table underneath.
+// Directory over its BlockTable: the MRU slot across re-access and
+// growth, and default_tagged across growth. The table itself (growth,
+// probing, erase, victim order) is tested in sim/block_table_test.cpp;
+// protocol-visible semantics are in directory_test.cpp.
 #include "core/directory.hpp"
 
-#include <cstdint>
-#include <unordered_map>
-#include <vector>
+#include <cstddef>
 
 #include <gtest/gtest.h>
 
 namespace lssim {
 namespace {
-
-TEST(FlatDirectory, GrowsPastInitialCapacityWithoutLosingEntries) {
-  Directory dir;
-  const std::size_t kCount = 10000;  // Forces several doublings from 256.
-  for (std::size_t i = 0; i < kCount; ++i) {
-    DirEntry& e = dir.entry(static_cast<Addr>(i * 64));
-    e.owner = static_cast<NodeId>(i % 64);
-    e.tagged = (i % 3) == 0;
-  }
-  EXPECT_EQ(dir.size(), kCount);
-  EXPECT_GT(dir.capacity(), 256u);
-  // Power-of-two capacity is what makes the mask-based probe valid.
-  EXPECT_EQ(dir.capacity() & (dir.capacity() - 1), 0u);
-  // Load factor stays below the 3/4 growth threshold.
-  EXPECT_LE(dir.size(), dir.capacity() - dir.capacity() / 4);
-  for (std::size_t i = 0; i < kCount; ++i) {
-    const DirEntry* e = dir.find(static_cast<Addr>(i * 64));
-    ASSERT_NE(e, nullptr) << "lost block " << i * 64 << " after growth";
-    EXPECT_EQ(e->owner, static_cast<NodeId>(i % 64));
-    EXPECT_EQ(e->tagged, (i % 3) == 0);
-  }
-}
-
-TEST(FlatDirectory, ColldingStridesProbePastOccupiedSlots) {
-  // Large power-of-two strides alias heavily under a mask-based table;
-  // every block must still get its own entry via linear probing.
-  Directory dir;
-  const Addr kStride = Addr{1} << 20;
-  for (Addr i = 0; i < 512; ++i) {
-    dir.entry(i * kStride).last_writer = static_cast<NodeId>(i % 60);
-  }
-  EXPECT_EQ(dir.size(), 512u);
-  for (Addr i = 0; i < 512; ++i) {
-    const DirEntry* e = dir.find(i * kStride);
-    ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->last_writer, static_cast<NodeId>(i % 60));
-  }
-}
-
-TEST(FlatDirectory, IterationParityWithReferenceMap) {
-  // Same mixed entry()/find() sequence applied to the flat table and to
-  // the std::unordered_map it replaced; contents must match exactly.
-  Directory dir;
-  std::unordered_map<Addr, std::uint8_t> ref;
-  std::uint64_t lcg = 12345;
-  for (int op = 0; op < 20000; ++op) {
-    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-    // Small block pool so re-access (the MRU path) is common.
-    const Addr block = ((lcg >> 33) % 3000) * 32;
-    // tag_progress is a 3-bit field (hysteresis caps at 7); cycle with a
-    // period coprime to the pool size so neighbours differ.
-    const auto tag_progress = static_cast<std::uint8_t>(op % 7);
-    dir.entry(block).tag_progress = tag_progress;
-    ref[block] = tag_progress;
-  }
-  EXPECT_EQ(dir.size(), ref.size());
-  std::size_t visited = 0;
-  dir.for_each([&](Addr block, const DirEntry& e) {
-    ++visited;
-    auto it = ref.find(block);
-    ASSERT_NE(it, ref.end()) << "phantom block " << block;
-    EXPECT_EQ(e.tag_progress, it->second) << "stale entry for " << block;
-  });
-  EXPECT_EQ(visited, ref.size());
-  // Absent keys stay absent: find never creates (no tombstone confusion).
-  for (Addr probe = 1; probe < 64; ++probe) {
-    const Addr absent = 3000 * 32 + probe * 32;
-    EXPECT_EQ(dir.find(absent), nullptr);
-    EXPECT_EQ(ref.find(absent), ref.end());
-  }
-  EXPECT_EQ(dir.size(), ref.size());
-}
 
 TEST(FlatDirectory, RepeatedAccessReturnsSameEntry) {
   // The one-entry MRU cache must hand back the identical slot, and a
@@ -133,14 +59,6 @@ TEST(FlatDirectory, GrowthInvalidatesMruCache) {
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->last_writer, static_cast<NodeId>(i % 60));
   }
-}
-
-TEST(FlatDirectory, AddressZeroIsAValidBlock) {
-  Directory dir;
-  dir.entry(0).tagged = true;
-  EXPECT_EQ(dir.size(), 1u);
-  ASSERT_NE(dir.find(0), nullptr);
-  EXPECT_TRUE(dir.find(0)->tagged);
 }
 
 TEST(FlatDirectory, DefaultTaggedAppliesAcrossGrowth) {
