@@ -138,5 +138,26 @@ TEST_F(FsTest, RefetchClearsPendingState) {
   EXPECT_EQ(stats_.coherence_misses, 1u);
 }
 
+TEST_F(FsTest, BlocksDifferingOnlyInHighAddressBitsStayApart) {
+  // Trace replay accepts any 64-bit address: a write to one block must
+  // never be credited to another that differs only in bits 58-63.
+  const Addr a = 0x100;
+  const Addr b = a + (Addr{1} << 58);
+  fs_.on_invalidated(1, a);
+  fs_.on_invalidated(1, b);
+  fs_.on_write_words(0, b, 0b1111);
+  CacheLine line;
+  line.block = a;
+  line.state = CacheState::kShared;
+  fs_.on_fill(1, a, line);
+  EXPECT_TRUE(line.fs_pending);
+  EXPECT_EQ(line.fs_foreign_mask, 0u);
+  CacheLine other;
+  other.block = b;
+  other.state = CacheState::kShared;
+  fs_.on_fill(1, b, other);
+  EXPECT_EQ(other.fs_foreign_mask, 0b1111u);
+}
+
 }  // namespace
 }  // namespace lssim
