@@ -1,7 +1,8 @@
 // Core-structure microbenchmarks (google-benchmark): throughput of the
 // simulator's hot paths — cache lookup, directory access, full protocol
-// transactions, network sends, the coroutine scheduler and barrier spin
-// episodes — and of the bulk telemetry exporters.
+// transactions, network sends, the coroutine scheduler, machine
+// construction and barrier spin episodes — and of the bulk telemetry
+// exporters.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -160,6 +161,24 @@ BENCHMARK(BM_SchedulerStep)
     ->Arg(64)
     ->Arg(256)
     ->Unit(benchmark::kMillisecond);
+
+void BM_MachineConstruct(benchmark::State& state) {
+  // Building the 128-node scientific machine (limited-ptr, LS): per-node
+  // caches, directories and network state, before any workload runs.
+  // Teardown is untimed.
+  constexpr int kNodes = 128;
+  MachineConfig cfg =
+      MachineConfig::scientific_default(ProtocolKind::kLs, kNodes);
+  cfg.directory_scheme = DirectoryKind::kLimitedPtr;
+  for (auto _ : state) {
+    auto sys = std::make_unique<System>(cfg);
+    benchmark::DoNotOptimize(sys.get());
+    state.PauseTiming();
+    sys.reset();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_MachineConstruct)->Unit(benchmark::kMicrosecond);
 
 SimTask<void> barrier_episodes(System& sys, NodeId id, Barrier& barrier,
                                int episodes) {

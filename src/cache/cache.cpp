@@ -16,6 +16,9 @@ Cache::Cache(const CacheConfig& config)
   assert(std::has_single_bit(config.block_bytes));
   assert(std::has_single_bit(static_cast<std::uint64_t>(num_sets_)));
   lines_.resize(num_sets_ * config_.assoc);
+  if (lru_live_) {
+    last_use_.resize(lines_.size());
+  }
 }
 
 std::size_t Cache::valid_lines() const noexcept {

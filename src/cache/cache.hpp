@@ -44,19 +44,25 @@ enum class CacheState : std::uint8_t {
 
 struct CacheLine {
   Addr block = 0;  ///< Block-aligned address; meaningful iff state valid.
-  CacheState state = CacheState::kInvalid;
-  std::uint64_t last_use = 0;
   /// Access site whose prediction granted this exclusive copy (kIls).
   std::uint32_t grant_site = 0;
-  // -- Dubois false-sharing bookkeeping (maintained on L2 lines only) --
-  std::uint64_t accessed_words = 0;   ///< Words touched this lifetime.
-  std::uint64_t fs_foreign_mask = 0;  ///< Foreign-written words at fill.
-  bool fs_pending = false;  ///< Fill was a coherence miss, unclassified.
+  CacheState state = CacheState::kInvalid;
+  /// L2 only: the fill was a coherence miss the false-sharing classifier
+  /// has not yet resolved (its foreign-written word mask stays in the
+  /// classifier, keyed by block and node).
+  bool fs_pending = false;
 
   [[nodiscard]] bool valid() const noexcept {
     return state != CacheState::kInvalid;
   }
 };
+
+// Everything the probe path reads, in one 16-byte slot: four lines per
+// host cache line, and a 128-node machine's L1+L2 arrays stay under
+// 9 MiB. LRU stamps live in Cache, apart from the line, because only
+// set-associative caches read them. Widening CacheLine is a hot-path and
+// construction-time regression — think twice.
+static_assert(sizeof(CacheLine) == 16, "CacheLine must stay two words");
 
 class Cache {
  public:
@@ -114,13 +120,12 @@ class Cache {
     return removed;
   }
 
-  /// Marks a hit for LRU purposes. Direct-mapped caches skip the stamp:
-  /// last_use is only ever read to pick a victim among multiple ways, so
-  /// with one way per set it is dead — eliding the read-modify-write of
-  /// use_clock_ changes no observable behaviour.
-  void touch(CacheLine& line) noexcept {
+  /// Marks a hit for LRU purposes. Direct-mapped caches keep no stamps:
+  /// they are only ever read to pick a victim among multiple ways, so
+  /// with one way per set they are dead.
+  void touch(const CacheLine& line) noexcept {
     if (lru_live_) {
-      line.last_use = ++use_clock_;
+      last_use_[way_index(line)] = ++use_clock_;
     }
   }
 
@@ -128,10 +133,15 @@ class Cache {
   void touch(Addr block, std::uint64_t count) noexcept {
     if (lru_live_) {
       use_clock_ += count;
-      if (CacheLine* line = find(block)) {
-        line->last_use = use_clock_;
+      if (const CacheLine* line = find(block)) {
+        last_use_[way_index(*line)] = use_clock_;
       }
     }
+  }
+
+  /// `line`'s LRU stamp; 0 in a direct-mapped cache (tests).
+  [[nodiscard]] std::uint64_t last_use(const CacheLine& line) const noexcept {
+    return lru_live_ ? last_use_[way_index(line)] : 0;
   }
 
   [[nodiscard]] std::uint32_t block_bytes() const noexcept {
@@ -166,28 +176,32 @@ class Cache {
     return static_cast<std::size_t>(block >> block_shift_) & set_mask_;
   }
 
+  [[nodiscard]] std::size_t way_index(const CacheLine& line) const noexcept {
+    return static_cast<std::size_t>(&line - lines_.data());
+  }
+
   /// Replacement decision for `block`'s set: the first invalid way, else
   /// the way with the lowest LRU stamp.
   [[nodiscard]] CacheLine* victim_way(Addr block) noexcept {
     const std::size_t base = set_index(block) * config_.assoc;
-    CacheLine* victim = &lines_[base];
-    for (std::uint32_t way = 0; way < config_.assoc; ++way) {
-      CacheLine& line = lines_[base + way];
-      if (!line.valid()) {
-        return &line;
+    if (!lru_live_) {
+      return &lines_[base];
+    }
+    std::size_t victim = base;
+    for (std::size_t way = base; way < base + config_.assoc; ++way) {
+      if (!lines_[way].valid()) {
+        return &lines_[way];
       }
-      if (line.last_use < victim->last_use) {
-        victim = &line;
+      if (last_use_[way] < last_use_[victim]) {
+        victim = way;
       }
     }
-    return victim;
+    return &lines_[victim];
   }
 
   void fill_way(CacheLine* way, Addr block, CacheState state) noexcept {
-    *way = CacheLine{};
-    way->block = block;
-    way->state = state;
-    way->last_use = ++use_clock_;
+    *way = CacheLine{.block = block, .state = state};
+    touch(*way);
   }
 
   CacheConfig config_;
@@ -195,8 +209,9 @@ class Cache {
   std::size_t set_mask_;
   std::uint32_t block_shift_;
   Addr block_mask_;
-  bool lru_live_;  ///< assoc > 1: replacement actually consults last_use.
+  bool lru_live_;  ///< assoc > 1: replacement actually reads last_use_.
   std::vector<CacheLine> lines_;  // num_sets_ * assoc, set-major.
+  std::vector<std::uint64_t> last_use_;  // Parallel to lines_ iff lru_live_.
   std::uint64_t use_clock_ = 0;
 };
 

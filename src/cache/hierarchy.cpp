@@ -49,12 +49,6 @@ CacheLine CacheHierarchy::fill(Addr block, CacheState state) {
   return l2_victim;
 }
 
-void CacheHierarchy::refill_l1(Addr block) {
-  const CacheLine* line2 = l2_.find(block);
-  assert(line2 != nullptr && "refill_l1 requires an L2 hit");
-  (void)refill_l1(*line2);
-}
-
 CacheLine* CacheHierarchy::refill_l1(const CacheLine& line2) {
   assert(l1_.find(line2.block) == nullptr);
   CacheLine* line1 = l1_.insert_silent(line2.block, line2.state);
@@ -76,17 +70,6 @@ void CacheHierarchy::set_state(Addr block, CacheState state) noexcept {
 CacheLine CacheHierarchy::invalidate(Addr block) noexcept {
   l1_.invalidate(block);
   return l2_.invalidate(block);
-}
-
-void CacheHierarchy::record_access(Addr block,
-                                   std::uint64_t word_mask) noexcept {
-  CacheLine* line2 = l2_.find(block);
-  assert(line2 != nullptr);
-  l2_.touch(*line2);
-  line2->accessed_words |= word_mask;
-  if (CacheLine* line1 = l1_.find(block)) {
-    l1_.touch(*line1);
-  }
 }
 
 bool CacheHierarchy::check_inclusion() const {

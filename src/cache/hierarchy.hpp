@@ -60,11 +60,8 @@ class CacheHierarchy {
   /// invalidated to preserve inclusion.
   CacheLine fill(Addr block, CacheState state);
 
-  /// On an L1 miss that hits in L2, refill L1 from L2 (silent L1 victim).
-  void refill_l1(Addr block);
-
-  /// refill_l1 for a caller that already resolved the L2 line; returns
-  /// the freshly inserted L1 line.
+  /// On an L1 miss that hits in L2 (`line2`), refills L1 from it (silent
+  /// L1 victim); returns the freshly inserted L1 line.
   CacheLine* refill_l1(const CacheLine& line2);
 
   /// Sets the coherence state of `block` in both levels (must be present
@@ -74,16 +71,10 @@ class CacheHierarchy {
   /// Invalidates `block` in both levels; returns the removed L2 line.
   CacheLine invalidate(Addr block) noexcept;
 
-  /// Records a hit for LRU, and accumulates the accessed-word mask on the
-  /// L2 line (used by the false-sharing classifier).
-  void record_access(Addr block, std::uint64_t word_mask) noexcept;
-
-  /// record_access for a caller holding the resolved line pointers (the
-  /// access hot path). Same LRU-touch order: L2 first, then L1.
-  void record_access(CacheLine* line1, CacheLine& line2,
-                     std::uint64_t word_mask) noexcept {
+  /// Records a hit for LRU on the resolved line pointers: L2 first, then
+  /// L1 when the block is there.
+  void record_access(CacheLine* line1, CacheLine& line2) noexcept {
     l2_.touch(line2);
-    line2.accessed_words |= word_mask;
     if (line1 != nullptr) {
       l1_.touch(*line1);
     }

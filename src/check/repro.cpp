@@ -201,6 +201,14 @@ ReproTrace load_repro(std::istream& is) {
       if (access.op == MemOpKind::kCas && !(ls >> access.expected)) {
         parse_fail(line_no, "CAS access missing expected value");
       }
+      // An unaligned access may cross a page, past the end of its
+      // backing buffer; the fuzzer only ever emits aligned ones.
+      if (access.addr % static_cast<Addr>(size) != 0) {
+        std::ostringstream os;
+        os << "access address 0x" << std::hex << access.addr << std::dec
+           << " is not a multiple of its size " << size;
+        parse_fail(line_no, os.str());
+      }
       access.size = static_cast<std::uint8_t>(size);
       trace.accesses.push_back(access);
       access_lines.push_back(line_no);

@@ -133,14 +133,6 @@ Cycles MemorySystem::forward(NodeId home, NodeId owner, MsgType type,
   return snoops_ ? t : leg(home, owner, type, t);
 }
 
-std::uint64_t MemorySystem::word_mask(const AccessRequest& req) const {
-  if (!cfg_.classify_false_sharing) {
-    return 0;
-  }
-  return word_mask_of(req.addr, req.size, cfg_.l2.block_bytes,
-                      cfg_.word_bytes);
-}
-
 std::uint64_t MemorySystem::apply_data(const AccessRequest& req) {
   switch (req.op) {
     case MemOpKind::kRead:
@@ -248,7 +240,7 @@ void MemorySystem::invalidate_cached_copy(NodeId node, Addr block) {
   copy_changed(node, block);
   const CacheLine removed = caches_[node].invalidate(block);
   assert(removed.valid());
-  fs_.on_line_death(removed);
+  fs_.on_line_death(node, removed);
   fs_.on_invalidated(node, block);
 }
 
@@ -260,7 +252,7 @@ void MemorySystem::handle_l2_victim(NodeId node, const CacheLine& victim,
   if (checker_ != nullptr) {
     checker_->note_touched(victim.block);
   }
-  fs_.on_line_death(victim);
+  fs_.on_line_death(node, victim);
   const Addr block = victim.block;
   const NodeId home = space_.home_of(block);
   DirEntry& e = dir_.entry(block);
@@ -781,15 +773,14 @@ AccessResult MemorySystem::access(NodeId node, const AccessRequest& req,
   }
 
   assert(lines.l2 != nullptr);
+  ch.record_access(lines.l1, *lines.l2);
   if (fs_enabled_) {
-    const std::uint64_t wmask = word_mask(req);
-    ch.record_access(lines.l1, *lines.l2, wmask);
-    fs_.on_access(*lines.l2, wmask);
+    const std::uint64_t wmask = word_mask_of(
+        req.addr, req.size, cfg_.l2.block_bytes, cfg_.word_bytes);
+    fs_.on_access(node, *lines.l2, wmask);
     if (is_write) {
       fs_.on_write_words(node, block, wmask);
     }
-  } else {
-    ch.record_access(lines.l1, *lines.l2, 0);
   }
   if (!lean_replay_) {
     result.value = apply_data(req);
@@ -804,9 +795,10 @@ void MemorySystem::finalize() {
   if (!fs_enabled_) {
     return;  // on_line_death is a no-op with the classifier off.
   }
-  for (auto& ch : caches_) {
-    ch.l2().for_each_valid(
-        [this](const CacheLine& line) { fs_.on_line_death(line); });
+  for (std::size_t node = 0; node < caches_.size(); ++node) {
+    caches_[node].l2().for_each_valid([this, node](const CacheLine& line) {
+      fs_.on_line_death(static_cast<NodeId>(node), line);
+    });
   }
 }
 

@@ -253,7 +253,6 @@ class MemorySystem {
                                                     const DirEntry& e) const;
 
   std::uint64_t apply_data(const AccessRequest& req);
-  [[nodiscard]] std::uint64_t word_mask(const AccessRequest& req) const;
 
   MachineConfig cfg_;
   LatencyConfig lat_;

@@ -47,8 +47,9 @@ std::string MachineConfig::validate() const {
     return "classify_false_sharing tracks per-node word masks in 64-bit "
            "words and requires num_nodes <= 64";
   }
-  if (!std::has_single_bit(page_bytes)) {
-    return "page_bytes must be a power of two";
+  if (!std::has_single_bit(page_bytes) || page_bytes < 8) {
+    return "page_bytes must be a power of two of at least 8 (the widest "
+           "access)";
   }
   for (const CacheConfig* cache : {&l1, &l2}) {
     if (cache->size_bytes == 0 || cache->assoc == 0 ||

@@ -6,9 +6,10 @@
 // the new lifetime of the block in the missing processor's cache, the
 // processor never touches a word that was written by another processor
 // between the invalidation and the re-fetch. Classification is therefore
-// deferred: the candidate foreign-written word mask is attached to the
-// refilled line and resolved on first intersection (true sharing) or at
-// line death (false sharing).
+// deferred: the refilled line is marked pending, its candidate
+// foreign-written word mask stays here under its (block, node) key, and
+// it is resolved on first intersection (true sharing) or at line death
+// (false sharing).
 #pragma once
 
 #include <cstddef>
@@ -54,33 +55,36 @@ class FalseSharingClassifier {
   }
 
   /// Node `node` refills `block` after a miss. Marks the new line for
-  /// deferred classification when the miss was invalidation-caused.
+  /// deferred classification when the miss was invalidation-caused; its
+  /// foreign mask stops growing and waits in foreign_ for resolution.
   void on_fill(NodeId node, Addr block, CacheLine& line) {
     if (!enabled_) return;
     const auto it = pending_.find(block);
     const std::uint64_t bit = std::uint64_t{1} << node;
     if (it == pending_.end() || (it->second & bit) == 0) return;
     it->second &= ~bit;
-    const auto fit = foreign_.find({block, node});
     line.fs_pending = true;
-    line.fs_foreign_mask = fit == foreign_.end() ? 0 : fit->second;
-    if (fit != foreign_.end()) foreign_.erase(fit);
     stats_.coherence_misses += 1;
   }
 
-  /// Called on every access to a pending line; resolves it as a
-  /// true-sharing miss once the accessed words intersect the foreign set.
-  void on_access(CacheLine& line, std::uint64_t word_mask) noexcept {
+  /// Called on every access by `node` to its pending line; resolves it
+  /// as a true-sharing miss once the accessed words intersect the
+  /// foreign set.
+  void on_access(NodeId node, CacheLine& line, std::uint64_t word_mask) {
     if (!enabled_ || !line.fs_pending) return;
-    if ((line.fs_foreign_mask & word_mask) != 0) {
+    const auto it = foreign_.find({line.block, node});
+    if (it != foreign_.end() && (it->second & word_mask) != 0) {
       line.fs_pending = false;  // True sharing: not counted as false.
+      foreign_.erase(it);
     }
   }
 
-  /// Line died (eviction, invalidation, or end of run) while still
-  /// pending: no foreign-written word was ever touched -> false sharing.
-  void on_line_death(const CacheLine& line) noexcept {
+  /// `node`'s line died (eviction, invalidation, or end of run) while
+  /// still pending: no foreign-written word was ever touched -> false
+  /// sharing.
+  void on_line_death(NodeId node, const CacheLine& line) {
     if (!enabled_ || !line.fs_pending) return;
+    foreign_.erase({line.block, node});
     stats_.false_sharing_misses += 1;
   }
 

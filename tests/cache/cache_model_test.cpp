@@ -63,6 +63,12 @@ struct Geometry {
   std::uint32_t block;
 };
 
+std::string geometry_name(const ::testing::TestParamInfo<Geometry>& info) {
+  return "s" + std::to_string(info.param.size) + "w" +
+         std::to_string(info.param.assoc) + "b" +
+         std::to_string(info.param.block);
+}
+
 class CacheModelTest : public ::testing::TestWithParam<Geometry> {};
 
 TEST_P(CacheModelTest, MatchesReferenceOverRandomOps) {
@@ -97,11 +103,56 @@ TEST_P(CacheModelTest, MatchesReferenceOverRandomOps) {
       // Invalidate.
       cache.invalidate(block);
       reference.erase(block);
+    } else if (what < 9) {
+      // Bulk touch (a parked spinner's probes, accounted at once); of an
+      // absent block it only advances the LRU clock.
+      cache.touch(block, 1 + rng.next_below(1000));
+      if (hit) reference.touch(block);
     } else {
       // Pure probe (done above).
     }
   }
 }
+
+// Victim order in a full 2- or 4-way set, where the LRU stamps decide,
+// after single and bulk touches.
+class LruOrderTest : public ::testing::TestWithParam<Geometry> {};
+
+TEST_P(LruOrderTest, FullSetEvictsInReverseTouchOrder) {
+  const Geometry g = GetParam();
+  const CacheConfig config{g.size, g.assoc, g.block};
+  Cache cache(config);
+  ReferenceCache reference(config);
+  const Addr stride = static_cast<Addr>(config.num_sets()) * g.block;
+  // Fill set 0, then touch its ways back to front, alternating single
+  // and bulk touches: way 0 ends up most recently used.
+  for (std::uint32_t w = 0; w < g.assoc; ++w) {
+    cache.insert(w * stride, CacheState::kShared);
+    reference.insert(w * stride);
+  }
+  for (std::uint32_t w = g.assoc; w-- > 0;) {
+    if (w % 2 == 0) {
+      cache.touch(*cache.find(w * stride));
+    } else {
+      cache.touch(w * stride, 3);
+    }
+    reference.touch(w * stride);
+  }
+  for (std::uint32_t w = 0; w < g.assoc; ++w) {
+    const Addr fresh = (g.assoc + w) * stride;
+    const CacheLine victim = cache.insert(fresh, CacheState::kShared);
+    const auto ref_victim = reference.insert(fresh);
+    ASSERT_TRUE(ref_victim.has_value());
+    EXPECT_EQ(victim.block, *ref_victim) << "insert " << w;
+    EXPECT_EQ(victim.block, (g.assoc - 1 - w) * stride) << "insert " << w;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ways, LruOrderTest,
+    ::testing::Values(Geometry{512, 2, 16}, Geometry{256, 4, 16},
+                      Geometry{2048, 4, 32}),
+    geometry_name);
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheModelTest,
@@ -109,11 +160,7 @@ INSTANTIATE_TEST_SUITE_P(
                       Geometry{1024, 4, 32}, Geometry{2048, 2, 64},
                       Geometry{4096, 1, 128}, Geometry{4096, 8, 32},
                       Geometry{8192, 4, 256}),
-    [](const auto& info) {
-      return "s" + std::to_string(info.param.size) + "w" +
-             std::to_string(info.param.assoc) + "b" +
-             std::to_string(info.param.block);
-    });
+    geometry_name);
 
 }  // namespace
 }  // namespace lssim

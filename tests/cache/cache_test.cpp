@@ -94,12 +94,13 @@ TEST(Cache, EvictedLineCarriesFalseSharingBookkeeping) {
   cache.insert(0, CacheState::kShared);
   CacheLine* line = cache.find(0);
   line->fs_pending = true;
-  line->fs_foreign_mask = 0xf0;
-  line->accessed_words = 0x3;
+  line->grant_site = 7;
   const CacheLine victim = cache.insert(256, CacheState::kShared);
   EXPECT_TRUE(victim.fs_pending);
-  EXPECT_EQ(victim.fs_foreign_mask, 0xf0u);
-  EXPECT_EQ(victim.accessed_words, 0x3u);
+  EXPECT_EQ(victim.grant_site, 7u);
+  // The refilled way starts clean.
+  EXPECT_FALSE(cache.find(256)->fs_pending);
+  EXPECT_EQ(cache.find(256)->grant_site, 0u);
 }
 
 TEST(Cache, HighAddressTags) {

@@ -183,6 +183,17 @@ TEST(ReproFormat, RejectsAccessNodeBeyondMachine) {
   EXPECT_NE(error.find("access node 5"), std::string::npos) << error;
 }
 
+TEST(ReproFormat, RejectsMisalignedAccess) {
+  // 0xffc + 8 crosses a page: replay once wrote past the page buffer.
+  const std::string error =
+      load_error_with("access", "access 0 W 0xffc 8 0xa1");
+  EXPECT_NE(error.find("line 17"), std::string::npos) << error;
+  EXPECT_NE(error.find("access address 0xffc"), std::string::npos) << error;
+  // Aligned for a narrower access, misaligned for a wider one.
+  EXPECT_EQ(load_error_with("access", "access 0 W 0x4 4 0xa1"), "");
+  EXPECT_NE(load_error_with("access", "access 0 W 0x4 8 0xa1"), "");
+}
+
 TEST(ReproFormat, RejectsOutOfRangePointerCount) {
   // 300 used to narrow to 44 and then run a 44-pointer Dir_iB.
   const std::string error =

@@ -65,10 +65,10 @@ Outcome run_case(const MachineConfig& cfg, const WorkloadBuilder& build,
   for (int n = 0; n < sys.num_procs(); ++n) {
     const CacheHierarchy& ch = sys.memory().cache(static_cast<NodeId>(n));
     for (const Cache* c : {&ch.l1(), &ch.l2()}) {
-      c->for_each_valid([&mix](const CacheLine& line) {
+      c->for_each_valid([&mix, c](const CacheLine& line) {
         mix(line.block);
         mix(static_cast<std::uint64_t>(line.state));
-        mix(line.last_use);
+        mix(c->last_use(line));
       });
     }
   }

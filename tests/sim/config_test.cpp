@@ -72,6 +72,17 @@ TEST(Config, RejectsOversizedBlocks) {
   EXPECT_FALSE(cfg.validate().empty());
 }
 
+TEST(Config, RejectsPagesNarrowerThanAnAccess) {
+  // An 8-byte store to a 4-byte page once wrote past its buffer.
+  MachineConfig cfg = MachineConfig::scientific_default();
+  for (const std::uint32_t bytes : {0u, 1u, 2u, 4u, 12u}) {
+    cfg.page_bytes = bytes;
+    EXPECT_NE(cfg.validate().find("page_bytes"), std::string::npos) << bytes;
+  }
+  cfg.page_bytes = 8;
+  EXPECT_EQ(cfg.validate(), "");
+}
+
 TEST(Config, RejectsZeroHysteresis) {
   MachineConfig cfg = MachineConfig::scientific_default();
   cfg.protocol.tag_hysteresis = 0;

@@ -65,9 +65,9 @@ TEST_F(FsTest, TrueSharingDetectedOnIntersection) {
   fs_.on_fill(0, 0x100, line);
   EXPECT_TRUE(line.fs_pending);
   EXPECT_EQ(stats_.coherence_misses, 1u);
-  fs_.on_access(line, 0b1);
+  fs_.on_access(0, line, 0b1);
   EXPECT_FALSE(line.fs_pending);
-  fs_.on_line_death(line);
+  fs_.on_line_death(0, line);
   EXPECT_EQ(stats_.false_sharing_misses, 0u);
 }
 
@@ -79,9 +79,9 @@ TEST_F(FsTest, FalseSharingWhenDisjointWordsTouched) {
   line.block = 0x100;
   line.state = CacheState::kShared;
   fs_.on_fill(0, 0x100, line);
-  fs_.on_access(line, 0b1000);
+  fs_.on_access(0, line, 0b1000);
   EXPECT_TRUE(line.fs_pending);
-  fs_.on_line_death(line);
+  fs_.on_line_death(0, line);
   EXPECT_EQ(stats_.false_sharing_misses, 1u);
 }
 
@@ -94,7 +94,8 @@ TEST_F(FsTest, WriterOwnWordsNotCountedAgainstIt) {
   line.state = CacheState::kShared;
   fs_.on_fill(0, 0x100, line);
   EXPECT_TRUE(line.fs_pending);
-  EXPECT_EQ(line.fs_foreign_mask, 0u);
+  fs_.on_access(0, line, ~std::uint64_t{0});  // Empty foreign set.
+  EXPECT_TRUE(line.fs_pending);
 }
 
 TEST_F(FsTest, MultipleForeignWritesAccumulate) {
@@ -105,7 +106,10 @@ TEST_F(FsTest, MultipleForeignWritesAccumulate) {
   line.block = 0x100;
   line.state = CacheState::kShared;
   fs_.on_fill(0, 0x100, line);
-  EXPECT_EQ(line.fs_foreign_mask, 0b11u);
+  fs_.on_access(0, line, 0b100);
+  EXPECT_TRUE(line.fs_pending);
+  fs_.on_access(0, line, 0b10);  // Node 2's word.
+  EXPECT_FALSE(line.fs_pending);
 }
 
 TEST_F(FsTest, IndependentNodesTrackedSeparately) {
@@ -118,9 +122,14 @@ TEST_F(FsTest, IndependentNodesTrackedSeparately) {
   CacheLine l1 = l0;
   fs_.on_fill(0, 0x100, l0);
   fs_.on_fill(1, 0x100, l1);
-  EXPECT_EQ(l0.fs_foreign_mask, 0b100u);
-  EXPECT_EQ(l1.fs_foreign_mask, 0b100u);
   EXPECT_EQ(stats_.coherence_misses, 2u);
+  fs_.on_access(0, l0, 0b100);
+  EXPECT_FALSE(l0.fs_pending);
+  // Node 0's resolution leaves node 1's copy pending on its own mask.
+  fs_.on_access(1, l1, 0b011);
+  EXPECT_TRUE(l1.fs_pending);
+  fs_.on_access(1, l1, 0b100);
+  EXPECT_FALSE(l1.fs_pending);
 }
 
 TEST_F(FsTest, RefetchClearsPendingState) {
@@ -138,6 +147,34 @@ TEST_F(FsTest, RefetchClearsPendingState) {
   EXPECT_EQ(stats_.coherence_misses, 1u);
 }
 
+TEST_F(FsTest, SecondLifetimeSeesOnlyWritesAfterItsInvalidation) {
+  // First lifetime: node 1 writes word 0, node 0's refilled copy never
+  // touches it and dies pending (one false-sharing miss).
+  fs_.on_invalidated(0, 0x100);
+  fs_.on_write_words(1, 0x100, 0b01);
+  CacheLine line;
+  line.block = 0x100;
+  line.state = CacheState::kShared;
+  fs_.on_fill(0, 0x100, line);
+  fs_.on_access(0, line, 0b10);
+  fs_.on_line_death(0, line);
+  EXPECT_EQ(stats_.false_sharing_misses, 1u);
+  // Second lifetime: invalidated again, node 2 writes word 1 only.
+  fs_.on_invalidated(0, 0x100);
+  fs_.on_write_words(2, 0x100, 0b10);
+  CacheLine refill;
+  refill.block = 0x100;
+  refill.state = CacheState::kShared;
+  fs_.on_fill(0, 0x100, refill);
+  EXPECT_EQ(stats_.coherence_misses, 2u);
+  fs_.on_access(0, refill, 0b01);  // Word 0's write predates this miss.
+  EXPECT_TRUE(refill.fs_pending);
+  fs_.on_access(0, refill, 0b10);
+  EXPECT_FALSE(refill.fs_pending);
+  fs_.on_line_death(0, refill);
+  EXPECT_EQ(stats_.false_sharing_misses, 1u);
+}
+
 TEST_F(FsTest, BlocksDifferingOnlyInHighAddressBitsStayApart) {
   // Trace replay accepts any 64-bit address: a write to one block must
   // never be credited to another that differs only in bits 58-63.
@@ -151,12 +188,14 @@ TEST_F(FsTest, BlocksDifferingOnlyInHighAddressBitsStayApart) {
   line.state = CacheState::kShared;
   fs_.on_fill(1, a, line);
   EXPECT_TRUE(line.fs_pending);
-  EXPECT_EQ(line.fs_foreign_mask, 0u);
+  fs_.on_access(1, line, 0b1111);
+  EXPECT_TRUE(line.fs_pending);
   CacheLine other;
   other.block = b;
   other.state = CacheState::kShared;
   fs_.on_fill(1, b, other);
-  EXPECT_EQ(other.fs_foreign_mask, 0b1111u);
+  fs_.on_access(1, other, 0b1000);
+  EXPECT_FALSE(other.fs_pending);
 }
 
 }  // namespace
