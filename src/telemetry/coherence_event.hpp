@@ -133,11 +133,9 @@ class EventLog {
   /// Applies `fn` to the retained events, oldest first.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    if (ring_.empty()) return;
     const std::size_t start = wrapped_ ? next_ : 0;
-    for (std::size_t i = 0; i < ring_.size(); ++i) {
-      fn(ring_[(start + i) % ring_.size()]);
-    }
+    for (std::size_t i = start; i < ring_.size(); ++i) fn(ring_[i]);
+    for (std::size_t i = 0; i < start; ++i) fn(ring_[i]);
   }
 
   /// Renders the retained events, one per line.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <sstream>
 
 namespace lssim {
 namespace {
@@ -19,6 +20,35 @@ JsonWriter::JsonWriter(std::ostream& os, int indent)
       separators_(indent_ > 0 ? ",\n" : ",") {}
 
 JsonWriter::~JsonWriter() { flush(); }
+
+JsonWriter::Shape::Shape(std::string_view text, std::size_t depth,
+                         std::size_t indent)
+    : depth_(depth), indent_(indent) {
+  for (;;) {
+    const std::string_view piece = text.substr(0, text.find('\0'));
+    pieces_.push_back(Piece{text_.size(), piece.size()});
+    text_ += piece;
+    text_.resize((text_.size() / kChunk + 1) * kChunk, '\0');
+    if (piece.size() == text.size()) break;
+    text.remove_prefix(piece.size() + 1);
+  }
+}
+
+JsonWriter::Shape JsonWriter::shape(
+    const std::function<void(JsonWriter&)>& describe) const {
+  std::ostringstream text;
+  {
+    JsonWriter w(text, static_cast<int>(indent_));
+    // Open levels stand in for this writer's containers, so the record
+    // is indented for its depth. They are object levels: a value there
+    // follows its key directly, so the record's own separator, which
+    // record() writes, stays out of the shape.
+    w.stack_.assign(stack_.size(), Level{true, false});
+    describe(w);
+    assert(w.stack_.size() == stack_.size());
+  }
+  return Shape(text.str(), stack_.size(), indent_);
+}
 
 void JsonWriter::flush() {
   if (pos_ == buf_.get()) return;

@@ -1,17 +1,17 @@
 #include "telemetry/perfetto.hpp"
 
-#include <algorithm>
+#include <bitset>
 
+#include "sim/types.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/json_writer.hpp"
 
 namespace lssim {
 namespace {
 
-// The "args" member of a coherence event: the block address as
-// "0x%06llx", formatted by hand because it is written once per event.
-void write_block_args(JsonWriter& w, Addr block) {
-  char hex[18];
+// A coherence event's block address as "0x%06llx", formatted by hand
+// because it is written once per event.
+std::string_view block_hex(Addr block, char (&hex)[18]) {
   char* const end = hex + sizeof(hex);
   char* p = end;
   do {
@@ -21,14 +21,11 @@ void write_block_args(JsonWriter& w, Addr block) {
   while (end - p < 6) *--p = '0';
   *--p = 'x';
   *--p = '0';
-  w.key("args");
-  w.begin_object();
-  w.member("block", std::string_view(p, static_cast<std::size_t>(end - p)));
-  w.end_object();
+  return std::string_view(p, static_cast<std::size_t>(end - p));
 }
 
-void write_metadata(JsonWriter& w, const char* what, int pid, int tid,
-                    std::string_view name) {
+void write_metadata(JsonWriter& w, const char* what, std::uint64_t pid,
+                    int tid, std::string_view name) {
   w.begin_object();
   w.member("name", what);
   w.member("ph", "M");
@@ -41,31 +38,26 @@ void write_metadata(JsonWriter& w, const char* what, int pid, int tid,
   w.end_object();
 }
 
-void write_span(JsonWriter& w, int pid, const TraceSpan& s) {
-  w.begin_object();
-  w.member("name", to_string(s.kind));
-  w.member("cat", "coherence");
-  w.member("ph", "X");
-  w.member("ts", s.begin);
-  w.member("dur", s.end - s.begin);
-  w.member("pid", pid);
-  w.member("tid", static_cast<int>(s.node));
-  write_block_args(w, s.block);
-  w.end_object();
-}
-
-void write_instant(JsonWriter& w, int pid, NodeId node, ProtoEventKind kind,
-                   Addr block, Cycles time) {
-  w.begin_object();
-  w.member("name", to_string(kind));
-  w.member("cat", "coherence");
-  w.member("ph", "i");
-  w.member("s", "t");  // Thread-scoped instant.
-  w.member("ts", time);
-  w.member("pid", pid);
-  w.member("tid", static_cast<int>(node));
-  write_block_args(w, block);
-  w.end_object();
+// The layout of a coherence event; `span` adds "dur", an instant is
+// thread-scoped ("s": "t"). Holes: name, ts, [dur,] pid, tid, block.
+JsonWriter::Shape event_shape(const JsonWriter& w, bool span) {
+  return w.shape([span](JsonWriter& e) {
+    constexpr JsonWriter::Hole kHole = JsonWriter::kHole;
+    e.begin_object();
+    e.member("name", kHole);
+    e.member("cat", "coherence");
+    e.member("ph", span ? "X" : "i");
+    if (!span) e.member("s", "t");
+    e.member("ts", kHole);
+    if (span) e.member("dur", kHole);
+    e.member("pid", kHole);
+    e.member("tid", kHole);
+    e.key("args");
+    e.begin_object();
+    e.member("block", kHole);
+    e.end_object();
+    e.end_object();
+  });
 }
 
 }  // namespace
@@ -89,38 +81,40 @@ void write_chrome_trace(std::ostream& os,
   w.end_object();
   w.key("traceEvents");
   w.begin_array();
+  const JsonWriter::Shape span_shape = event_shape(w, true);
+  const JsonWriter::Shape instant_shape = event_shape(w, false);
   for (std::size_t p = 0; p < processes.size(); ++p) {
     const TraceProcess& proc = processes[p];
-    const int pid = static_cast<int>(p);
+    const std::uint64_t pid = p;
     write_metadata(w, "process_name", pid, -1, proc.name);
 
-    std::vector<NodeId> nodes_seen;
-    const auto note_node = [&nodes_seen](NodeId node) {
-      if (std::find(nodes_seen.begin(), nodes_seen.end(), node) ==
-          nodes_seen.end()) {
-        nodes_seen.push_back(node);
-      }
+    std::bitset<kMaxNodes> nodes_seen;
+    char hex[18];
+    const auto instant = [&](NodeId node, ProtoEventKind kind, Addr block,
+                             Cycles time) {
+      w.record(instant_shape, std::string_view(to_string(kind)), time, pid,
+               std::uint64_t{node}, block_hex(block, hex));
+      nodes_seen.set(node);
     };
-
     if (proc.trace != nullptr) {
       for (const TraceSpan& s : proc.trace->spans()) {
-        write_span(w, pid, s);
-        note_node(s.node);
+        w.record(span_shape, std::string_view(to_string(s.kind)), s.begin,
+                 s.end - s.begin, pid, std::uint64_t{s.node},
+                 block_hex(s.block, hex));
+        nodes_seen.set(s.node);
       }
       for (const TraceInstant& i : proc.trace->instants()) {
-        write_instant(w, pid, i.node, i.kind, i.block, i.time);
-        note_node(i.node);
+        instant(i.node, i.kind, i.block, i.time);
       }
     }
     if (proc.log != nullptr) {
-      proc.log->for_each([&](const CoherenceEvent& e) {
-        write_instant(w, pid, e.node, e.kind, e.block, e.time);
-        note_node(e.node);
+      proc.log->for_each([&instant](const CoherenceEvent& e) {
+        instant(e.node, e.kind, e.block, e.time);
       });
     }
 
-    std::sort(nodes_seen.begin(), nodes_seen.end());
-    for (const NodeId node : nodes_seen) {
+    for (std::size_t node = 0; node < nodes_seen.size(); ++node) {
+      if (!nodes_seen[node]) continue;
       write_metadata(w, "thread_name", pid, static_cast<int>(node),
                      "node " + std::to_string(node));
     }

@@ -37,7 +37,8 @@ struct TraceProcess {
 };
 
 /// Streams the document for `processes` to `os` (newline-terminated),
-/// event by event without building a document tree.
+/// event by event without building a document tree. Event nodes are
+/// below kMaxNodes; the export throws std::out_of_range on any other.
 void write_chrome_trace(std::ostream& os,
                         const std::vector<TraceProcess>& processes);
 

@@ -1,6 +1,7 @@
 // Tests for the tag-decision audit trail: ring semantics (wrap at exact
 // capacity, capacity 0 = disabled), engine hook coverage for the policy
-// reason codes, JSONL serialization, and driver-level cross-checks of
+// reason codes, JSONL serialization (also against the same records built
+// as Json trees), and driver-level cross-checks of
 // the audit stream against the engine's own tag statistics and against
 // the coherence trace's tag/detag instants.
 #include "telemetry/audit.hpp"
@@ -8,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -157,6 +159,61 @@ TEST(TagAuditLog, GoldenWrappedRingJsonl) {
 {"protocol":"LS","time":90,"block":4032,"node":2,"event":"tag","reason":"migratory-detect","tag_progress":0,"detag_progress":0,"tagged":true}
 {"protocol":"LS","event":"summary","recorded":5,"retained":3}
 )");
+}
+
+// Every reason and every event kind, at the extremes of time, block,
+// node and hysteresis counters, under a label that needs escaping: each
+// line must equal the record built as a Json tree and written by
+// Json::write, which shares none of the exporter's record code.
+TEST(TagAuditLog, JsonlMatchesTheTreeWrittenRecords) {
+  constexpr Cycles kEnd = std::numeric_limits<Cycles>::max();
+  constexpr Addr kTopBlock = ~Addr{15};  // Highest 16-byte-aligned block.
+  const std::string protocol = "LS \"quoted\"\nlabel";
+  constexpr int kReasons =
+      static_cast<int>(TagReason::kUpgradeInvalidations) + 1;
+  std::vector<CoherenceEvent> records;
+  for (int r = 0; r < kReasons; ++r) {
+    for (int k = 0; k < kNumEventKinds; ++k) {
+      const int i = static_cast<int>(records.size());
+      records.push_back(audit_record(
+          i % 2 == 0 ? kEnd : static_cast<Cycles>(i),
+          i % 3 == 0 ? 0 : kTopBlock, static_cast<NodeId>(i % 4 == 0 ? 255 : r),
+          static_cast<ProtoEventKind>(k), static_cast<TagReason>(r),
+          static_cast<std::uint8_t>(i % 5 == 0 ? 255 : k),
+          static_cast<std::uint8_t>(i % 7 == 0 ? 255 : r), i % 2 == 1));
+    }
+  }
+  // A ring two short: the export starts mid-ring.
+  TagAuditLog log(records.size() - 2);
+  for (const CoherenceEvent& e : records) log.record(e);
+  std::ostringstream os;
+  write_audit_jsonl(os, log, protocol);
+
+  std::string expected;
+  for (std::size_t i = 2; i < records.size(); ++i) {
+    const CoherenceEvent& e = records[i];
+    ASSERT_STRNE(to_string(e.reason), "?");
+    const Json line(Json::Object{
+        {"protocol", Json(protocol)},
+        {"time", Json(e.time)},
+        {"block", Json(e.block)},
+        {"node", Json(static_cast<int>(e.node))},
+        {"event", Json(to_string(e.kind))},
+        {"reason", Json(to_string(e.reason))},
+        {"tag_progress", Json(static_cast<int>(e.tag_progress))},
+        {"detag_progress", Json(static_cast<int>(e.detag_progress))},
+        {"tagged", Json(e.tagged)},
+    });
+    expected += line.dump() + "\n";
+  }
+  const Json summary(Json::Object{
+      {"protocol", Json(protocol)},
+      {"event", Json("summary")},
+      {"recorded", Json(std::uint64_t{records.size()})},
+      {"retained", Json(std::uint64_t{records.size() - 2})},
+  });
+  expected += summary.dump() + "\n";
+  EXPECT_EQ(os.str(), expected);
 }
 
 // --- Engine hook coverage -------------------------------------------------

@@ -1,16 +1,20 @@
 // Tests for the Chrome trace-event exporter: whole-document goldens of
-// hand-built traces, parse-back fidelity, and an end-to-end driver run
-// asserting duration events for every exercised protocol event kind.
+// hand-built traces, a comparison with the same document built as a Json
+// tree, parse-back fidelity, and an end-to-end driver run asserting
+// duration events for every exercised protocol event kind.
 #include "telemetry/perfetto.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <limits>
 #include <set>
 #include <sstream>
 
 #include "driver/runner.hpp"
 #include "telemetry/coherence_trace.hpp"
+#include "telemetry/json.hpp"
 
 namespace lssim {
 namespace {
@@ -342,6 +346,122 @@ TEST(PerfettoTest, GoldenCapacityLimitedTraceCountsDrops) {
  ]
 }
 )");
+}
+
+// The exporter's schema, rebuilt as a Json tree and written by
+// Json::write: a second writer for the same document that shares none of
+// the exporter's record code.
+Json expected_event(ProtoEventKind kind, bool span, Cycles ts, Cycles dur,
+                    int pid, NodeId node, Addr block) {
+  char hex[32];
+  std::snprintf(hex, sizeof(hex), "0x%06llx",
+                static_cast<unsigned long long>(block));
+  Json e(Json::Object{});
+  e.set("name", to_string(kind));
+  e.set("cat", "coherence");
+  e.set("ph", span ? "X" : "i");
+  if (!span) e.set("s", "t");
+  e.set("ts", ts);
+  if (span) e.set("dur", dur);
+  e.set("pid", pid);
+  e.set("tid", static_cast<int>(node));
+  e.set("args", Json(Json::Object{{"block", Json(std::string(hex))}}));
+  return e;
+}
+
+Json expected_metadata(const char* what, int pid, int tid,
+                       const std::string& name) {
+  Json m(Json::Object{});
+  m.set("name", what);
+  m.set("ph", "M");
+  m.set("pid", pid);
+  if (tid >= 0) m.set("tid", tid);
+  m.set("args", Json(Json::Object{{"name", Json(name)}}));
+  return m;
+}
+
+std::string expected_document(const std::vector<TraceProcess>& processes) {
+  std::uint64_t dropped = 0;
+  Json::Array events;
+  for (std::size_t p = 0; p < processes.size(); ++p) {
+    const TraceProcess& proc = processes[p];
+    const int pid = static_cast<int>(p);
+    events.push_back(expected_metadata("process_name", pid, -1, proc.name));
+    std::set<NodeId> nodes;
+    if (proc.trace != nullptr) {
+      dropped += proc.trace->dropped();
+      for (const TraceSpan& s : proc.trace->spans()) {
+        events.push_back(expected_event(s.kind, true, s.begin,
+                                        s.end - s.begin, pid, s.node,
+                                        s.block));
+        nodes.insert(s.node);
+      }
+      for (const TraceInstant& i : proc.trace->instants()) {
+        events.push_back(
+            expected_event(i.kind, false, i.time, 0, pid, i.node, i.block));
+        nodes.insert(i.node);
+      }
+    }
+    if (proc.log != nullptr) {
+      proc.log->for_each([&](const CoherenceEvent& e) {
+        events.push_back(
+            expected_event(e.kind, false, e.time, 0, pid, e.node, e.block));
+        nodes.insert(e.node);
+      });
+    }
+    for (const NodeId node : nodes) {
+      events.push_back(expected_metadata("thread_name", pid, node,
+                                         "node " + std::to_string(node)));
+    }
+  }
+  Json doc(Json::Object{});
+  doc.set("displayTimeUnit", "ms");
+  doc.set("otherData",
+          Json(Json::Object{{"generator", Json("lssim")},
+                            {"time_unit", Json("1 cycle = 1us")},
+                            {"dropped_events", Json(dropped)}}));
+  doc.set("traceEvents", Json(std::move(events)));
+  std::ostringstream os;
+  doc.write(os, 1);
+  os << "\n";
+  return os.str();
+}
+
+TEST(PerfettoTest, ExportMatchesTheTreeWrittenDocument) {
+  constexpr Cycles kEnd = std::numeric_limits<Cycles>::max();
+  constexpr Addr kTopBlock = ~Addr{15};  // Highest 16-byte-aligned block.
+  constexpr NodeId kTopNode = 255;
+  // Every kind as a span and as an instant, at the extremes of time,
+  // block and node.
+  CoherenceTrace trace(4 * kNumEventKinds);
+  for (int k = 0; k < kNumEventKinds; ++k) {
+    const auto kind = static_cast<ProtoEventKind>(k);
+    const auto node = static_cast<NodeId>(k % 2 == 0 ? kTopNode : k);
+    const Addr block = k % 3 == 0 ? 0 : kTopBlock;
+    trace.span(node, kind, block, static_cast<Cycles>(k), kEnd);
+    trace.instant(node, kind, k % 3 == 1 ? 0 : kTopBlock,
+                  k % 2 == 0 ? kEnd : 0);
+  }
+  trace.span(0, ProtoEventKind::kReadMiss, kTopBlock, kEnd, kEnd);
+  EventLog log(4);
+  log.record({.time = kEnd,
+              .block = kTopBlock,
+              .node = kTopNode,
+              .kind = ProtoEventKind::kNotLs});
+  log.record({.time = 0,
+              .block = 0,
+              .node = 0,
+              .kind = ProtoEventKind::kMigrate});
+  const std::vector<TraceProcess> processes = {
+      TraceProcess{"LS \"quoted\"\nlabel", &trace, nullptr},
+      TraceProcess{"log", nullptr, &log},
+      TraceProcess{"both", &trace, &log}};
+  EXPECT_EQ(export_text(processes), expected_document(processes));
+  // The golden traces agree with the tree as well.
+  const CoherenceTrace small = make_small_trace();
+  const std::vector<TraceProcess> golden = {
+      TraceProcess{"Baseline", &small, nullptr}};
+  EXPECT_EQ(export_text(golden), expected_document(golden));
 }
 
 TEST(PerfettoTest, ParseBackRecoversEveryField) {
