@@ -1,10 +1,11 @@
 // Core-structure microbenchmarks (google-benchmark): throughput of the
 // simulator's hot paths — cache lookup, directory access, full protocol
-// transactions, network sends, the coroutine scheduler, machine
-// construction and barrier spin episodes — and of the bulk telemetry
-// exporters.
+// transactions, network sends, the coroutine scheduler, nested-task
+// calls, machine construction and barrier spin episodes — and of the bulk
+// telemetry exporters.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 #include <ostream>
 #include <streambuf>
@@ -123,11 +124,25 @@ SimTask<void> spin_private(System& sys, NodeId id, Addr addr, int reads) {
   }
 }
 
-void BM_SchedulerStep(benchmark::State& state) {
-  // One issue step at N nodes: every node spins on its own L1-resident
-  // word, so the time per access is issue selection, coroutine resume and
-  // an L1 hit. Machine construction is untimed.
-  const int nodes = static_cast<int>(state.range(0));
+SimTask<std::uint64_t> nested_read(Processor& proc, Addr addr) {
+  co_return co_await proc.read(addr);
+}
+
+SimTask<void> spin_private_nested(System& sys, NodeId id, Addr addr,
+                                  int reads) {
+  Processor& proc = sys.proc(id);
+  for (int i = 0; i < reads; ++i) {
+    (void)co_await nested_read(proc, addr);
+  }
+}
+
+using SpinProgram = SimTask<void> (*)(System&, NodeId, Addr, int);
+
+// Every one of `nodes` nodes runs `program` over its own L1-resident
+// word; reports host time per issued access. Machine construction and
+// teardown are untimed.
+void time_private_spins(benchmark::State& state, int nodes,
+                        SpinProgram program) {
   constexpr int kReads = 2000;
   MachineConfig cfg =
       MachineConfig::scientific_default(ProtocolKind::kLs, nodes);
@@ -140,7 +155,7 @@ void BM_SchedulerStep(benchmark::State& state) {
     for (int n = 0; n < nodes; ++n) {
       const auto id = static_cast<NodeId>(n);
       const Addr word = sys->heap().alloc(64, 64);
-      sys->spawn(id, spin_private(*sys, id, word, kReads));
+      sys->spawn(id, program(*sys, id, word, kReads));
     }
     state.ResumeTiming();
     sys->run();
@@ -155,12 +170,27 @@ void BM_SchedulerStep(benchmark::State& state) {
   state.counters["per_access"] = benchmark::Counter(
       accesses, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
+
+void BM_SchedulerStep(benchmark::State& state) {
+  // One issue step at N nodes: every node spins on its own L1-resident
+  // word, so the time per access is issue selection, coroutine resume and
+  // an L1 hit.
+  time_private_spins(state, static_cast<int>(state.range(0)), spin_private);
+}
 BENCHMARK(BM_SchedulerStep)
     ->Arg(4)
     ->Arg(16)
     ->Arg(64)
     ->Arg(256)
     ->Unit(benchmark::kMillisecond);
+
+void BM_NestedTaskAccess(benchmark::State& state) {
+  // BM_SchedulerStep/4 with every access made through one nested SimTask,
+  // the way OLTP's rec_read is: the difference between the two is the
+  // cost of creating, entering and destroying a child coroutine frame.
+  time_private_spins(state, 4, spin_private_nested);
+}
+BENCHMARK(BM_NestedTaskAccess)->Unit(benchmark::kMillisecond);
 
 void BM_MachineConstruct(benchmark::State& state) {
   // Building the 128-node scientific machine (limited-ptr, LS): per-node

@@ -21,7 +21,9 @@
 // It also measures the capture-once / replay-many engine: per workload,
 // a full registered-protocol sweep executed live vs replayed from one
 // captured trace (the `replay_compare` array in the JSON), gated on the
-// same-protocol replay being bit-identical to its live execution.
+// same-protocol replay being bit-identical to its live execution and on
+// the --jobs fan-out of the replay matrix matching the serial replay
+// cell by cell.
 //
 // Compare two baselines with tools/bench_compare.py. Exit codes: 0 ok,
 // 1 determinism violation (parallel != serial cycles) or replay
@@ -303,7 +305,8 @@ int main(int argc, char** argv) {
   // Capture-once / replay-many pass (docs/PERFORMANCE.md): per workload,
   // time a full registered-protocol sweep executed live, then the same
   // sweep driven from one captured access stream, and gate on the
-  // same-protocol replay being bit-identical to its live execution.
+  // same-protocol replay being bit-identical to its live execution and
+  // on the parallel replay matrix equalling the serial replay.
   //
   // Accounting: `speedup` is execute-sweep over replay-sweep wall clock —
   // the steady-state ratio of the capture-once / replay-many workflow,
@@ -367,6 +370,23 @@ int main(int argc, char** argv) {
       for (const std::string& diff : diffs) {
         std::fprintf(stderr, "perf_baseline:   %s\n", diff.c_str());
       }
+      return 1;
+    }
+
+    // The parallel fan-out must match the serial replay cell by cell.
+    const std::vector<RunResult> fanned =
+        engine.replay_matrix(all_kinds, {}, jobs);
+    bool fan_agrees = true;
+    for (std::size_t i = 0; i < all_kinds.size(); ++i) {
+      for (const std::string& diff : compare_replay(replayed[i], fanned[i])) {
+        std::fprintf(stderr,
+                     "perf_baseline: SERIAL/PARALLEL REPLAY MISMATCH in %s "
+                     "(%s): %s\n",
+                     spec.name, to_string(all_kinds[i]), diff.c_str());
+        fan_agrees = false;
+      }
+    }
+    if (!fan_agrees) {
       return 1;
     }
 

@@ -8,7 +8,9 @@
 // Nothing in the simulator is shared between concurrently running
 // Systems: the protocol registry and name tables are immutable, and the
 // library keeps no mutable globals (audited for PR 3; grep for non-const
-// statics before adding one). Task inputs (MachineConfig, the
+// statics before adding one). The one piece of mutable per-thread state,
+// the coroutine frame pool (sim/task.hpp), is thread_local and never
+// shared. Task inputs (MachineConfig, the
 // WorkloadBuilder functor) are shared read-only across tasks, so builders
 // must not mutate captured state when invoked.
 //
