@@ -1,15 +1,17 @@
 // Core-structure microbenchmarks (google-benchmark): throughput of the
 // simulator's hot paths — cache lookup, directory access, full protocol
 // transactions, network sends, the coroutine scheduler, nested-task
-// calls, machine construction and barrier spin episodes — and of the bulk
-// telemetry exporters.
+// calls, machine construction and barrier spin episodes — of the bulk
+// telemetry exporters and of the trace file codec.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <memory>
 #include <ostream>
+#include <sstream>
 #include <streambuf>
 #include <string>
+#include <utility>
 
 #include "lssim.hpp"
 #include "telemetry/audit.hpp"
@@ -186,8 +188,8 @@ BENCHMARK(BM_SchedulerStep)
 
 void BM_NestedTaskAccess(benchmark::State& state) {
   // BM_SchedulerStep/4 with every access made through one nested SimTask,
-  // the way OLTP's rec_read is: the difference between the two is the
-  // cost of creating, entering and destroying a child coroutine frame.
+  // like OLTP's lock calls: the difference between the two is the cost
+  // of creating, entering and destroying a child coroutine frame.
   time_private_spins(state, 4, spin_private_nested);
 }
 BENCHMARK(BM_NestedTaskAccess)->Unit(benchmark::kMillisecond);
@@ -357,5 +359,68 @@ void BM_ExportAuditJsonl(benchmark::State& state) {
   report_export(state, kRecords, sink.text.size());
 }
 BENCHMARK(BM_ExportAuditJsonl)->Unit(benchmark::kMillisecond);
+
+// 64k in-range records, about perfbench's replay_oltp capture (69.6k).
+Trace synthetic_trace() {
+  constexpr std::size_t kRecords = 1 << 16;
+  Trace trace;
+  trace.meta().workload = "oltp";
+  trace.meta().final_gaps.assign(4, 10);
+  Rng rng(3);
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    TraceRecord r;
+    r.addr = rng.next_below(1 << 22) * 8;
+    r.issue_gap = rng.next_below(50);
+    r.wdata = rng.next();
+    r.site = static_cast<std::uint32_t>(rng.next());
+    r.node = static_cast<NodeId>(rng.next_below(4));
+    r.op = static_cast<std::uint8_t>(rng.next_below(2));
+    r.size = 8;
+    trace.append(r);
+  }
+  return trace;
+}
+
+// ns per record.
+void report_records(benchmark::State& state, std::size_t records) {
+  state.counters["per_record"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(records),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void BM_TraceSave(benchmark::State& state) {
+  const Trace trace = synthetic_trace();
+  StringSink sink;
+  std::ostream os(&sink);
+  for (auto _ : state) {
+    sink.text.clear();
+    trace.save(os);
+    benchmark::DoNotOptimize(sink.text.data());
+    benchmark::ClobberMemory();
+  }
+  report_records(state, trace.size());
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(sink.text.size()));
+}
+BENCHMARK(BM_TraceSave)->Unit(benchmark::kMillisecond);
+
+void BM_TraceLoad(benchmark::State& state) {
+  const Trace trace = synthetic_trace();
+  std::ostringstream saved;
+  trace.save(saved);
+  std::string bytes = std::move(saved).str();
+  const std::size_t size = bytes.size();
+  for (auto _ : state) {
+    // The stream takes the bytes and hands them back: no copy is timed.
+    std::istringstream source(std::move(bytes));
+    const Trace loaded = Trace::load(source);
+    benchmark::DoNotOptimize(loaded.records().data());
+    bytes = std::move(source).str();
+  }
+  report_records(state, trace.size());
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(size));
+}
+BENCHMARK(BM_TraceLoad)->Unit(benchmark::kMillisecond);
 
 }  // namespace

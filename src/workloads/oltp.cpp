@@ -127,12 +127,12 @@ SimTask<void> os_load_balance(Processor& proc, OltpContext& ctx,
 // read-only and read-modify-write paths over both private and shared
 // records, so per-site prediction cannot separate them (the ICPP'99
 // OLTP finding) — whereas the data-centric LS bit adapts per block.
-SimTask<std::uint64_t> rec_read(Processor& proc, Addr addr) {
-  co_return co_await proc.read(addr, 8);
-}
+// They return the access's awaitable instead of being coroutines, so a
+// record access costs no nested frame.
+MemAwait rec_read(Processor& proc, Addr addr) { return proc.read(addr, 8); }
 
-SimTask<void> rec_write(Processor& proc, Addr addr, std::uint64_t value) {
-  co_await proc.write(addr, value, 8);
+MemAwait rec_write(Processor& proc, Addr addr, std::uint64_t value) {
+  return proc.write(addr, value, 8);
 }
 
 // Index walk: root -> interior -> leaf (read-shared path).

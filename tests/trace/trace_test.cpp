@@ -3,9 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
+#include <streambuf>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "sim/rng.hpp"
 #include "trace/config_hash.hpp"
 #include "trace/recorder.hpp"
 #include "trace/replay_compare.hpp"
@@ -260,6 +266,237 @@ TEST(Trace, LoadsLegacyVersion1Files) {
   Stats stats(4);
   const ReplayResult result = replay_trace(loaded, tiny_cfg(), stats);
   EXPECT_EQ(result.accesses, 2u);
+}
+
+// ---- Multi-block files ----------------------------------------------
+// The codec moves whole records through a fixed 64 KiB block; these
+// traces span several blocks so block edges fall inside and between
+// records.
+
+constexpr std::size_t kBlockBytes = 64 * 1024;
+constexpr std::size_t kRecordBytes = 41;  // v2 / v2.1 record.
+
+/// A deterministic trace of `n` in-range records with every field
+/// varied, plus header metadata.
+Trace synthetic_trace(std::size_t n) {
+  Trace trace;
+  trace.meta().config_hash = 0x0123456789abcdefull;
+  trace.meta().seed = 7;
+  trace.meta().workload = "synthetic";
+  trace.meta().final_gaps = {1, 0, 300, 70000};
+  Rng rng(99);
+  for (std::size_t i = 0; i < n; ++i) {
+    TraceRecord r;
+    r.addr = rng.next() & ~std::uint64_t{7};
+    r.issue_gap = rng.next_below(1000);
+    r.wdata = rng.next();
+    r.expected = rng.next();
+    r.site = static_cast<std::uint32_t>(rng.next());
+    r.node = static_cast<NodeId>(rng.next_below(kMaxNodes));
+    r.op = static_cast<std::uint8_t>(
+        rng.next_below(static_cast<std::uint64_t>(MemOpKind::kCas) + 1));
+    r.size = static_cast<std::uint8_t>(1u << rng.next_below(4));
+    r.tag = static_cast<std::uint8_t>(rng.next_below(kNumStreamTags));
+    trace.append(r);
+  }
+  return trace;
+}
+
+std::string saved_bytes(const Trace& trace) {
+  std::ostringstream os;
+  trace.save(os);
+  return os.str();
+}
+
+/// Bytes of a v2.1 header (everything before the first record).
+std::size_t header_bytes(const Trace& trace) {
+  return 8 + 4 + 8 + 8 + 4 + trace.meta().workload.size() + 4 +
+         8 * trace.meta().final_gaps.size() + 8;
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// The error Trace::load throws reading `is` ("" when it loads).
+std::string stream_load_error(std::istream& is) {
+  try {
+    (void)Trace::load(is);
+  } catch (const std::runtime_error& ex) {
+    return ex.what();
+  }
+  return "";
+}
+
+std::string bytes_load_error(const std::string& bytes) {
+  std::istringstream is(bytes);
+  return stream_load_error(is);
+}
+
+/// Serves a string through underflow in small chunks and cannot seek,
+/// like a pipe.
+class PipeBuf : public std::streambuf {
+ public:
+  explicit PipeBuf(std::string bytes) : bytes_(std::move(bytes)) {}
+
+ protected:
+  int_type underflow() override {
+    if (next_ == bytes_.size()) return traits_type::eof();
+    const std::size_t n = std::min<std::size_t>(1000, bytes_.size() - next_);
+    char* begin = bytes_.data() + next_;
+    setg(begin, begin, begin + n);
+    next_ += n;
+    return traits_type::to_int_type(*begin);
+  }
+
+ private:
+  std::string bytes_;
+  std::size_t next_ = 0;
+};
+
+TEST(Trace, SaveWritesPinnedBytesAcrossBlocks) {
+  // 6,000 records span four 64 KiB blocks. The last record and the
+  // header carry all-ones fields, so no byte of any field is truncated
+  // or sign-extended. The digest was recorded with the per-field writer
+  // the block codec replaced: the file format must not move.
+  Trace trace = synthetic_trace(5999);
+  trace.meta().hash_version = ~std::uint32_t{0};
+  trace.meta().config_hash = ~std::uint64_t{0};
+  trace.meta().seed = ~std::uint64_t{0};
+  trace.meta().final_gaps.push_back(~Cycles{0});
+  TraceRecord ones;
+  ones.addr = ~Addr{0};
+  ones.issue_gap = ~Cycles{0};
+  ones.wdata = ~std::uint64_t{0};
+  ones.expected = ~std::uint64_t{0};
+  ones.site = ~std::uint32_t{0};
+  ones.node = static_cast<NodeId>(~NodeId{0});
+  ones.op = 0xff;
+  ones.size = 0xff;
+  ones.tag = 0xff;
+  trace.append(ones);
+  const std::string bytes = saved_bytes(trace);
+  ASSERT_EQ(bytes.size(), header_bytes(trace) + 6000 * kRecordBytes);
+  EXPECT_GT(bytes.size(), 3 * kBlockBytes);
+  EXPECT_EQ(bytes.substr(0, 8), "LSTRAC21");
+  EXPECT_EQ(bytes.substr(bytes.size() - kRecordBytes),
+            std::string(kRecordBytes, '\xff'));
+  EXPECT_EQ(fnv1a(bytes), 0xef1f9335ce7d0233ull) << std::hex << fnv1a(bytes);
+}
+
+TEST(Trace, LoadRejectsTruncationInHeaderAtBlockEdgeAndMidRecord) {
+  const Trace trace = synthetic_trace(5000);
+  const std::string bytes = saved_bytes(trace);
+  const std::size_t header = header_bytes(trace);
+  const std::size_t per_block = kBlockBytes / kRecordBytes;
+  const std::size_t cuts[] = {
+      9,                                          // In the hash version.
+      20,                                         // In the seed.
+      8 + 4 + 8 + 8 + 4 + 3,                      // In the workload name.
+      header - 9,                                 // In the final gaps.
+      header - 3,                                 // In the record count.
+      header,                                     // Before record 0.
+      header + per_block * kRecordBytes,          // At a block edge.
+      kBlockBytes,                                // At 64 KiB of file.
+      header + 2 * per_block * kRecordBytes,      // At the next edge.
+      header + 4000 * kRecordBytes + 17,          // Mid-record, block 3.
+      bytes.size() - 1,                           // In the last record.
+  };
+  for (const std::size_t cut : cuts) {
+    EXPECT_EQ(bytes_load_error(bytes.substr(0, cut)),
+              "truncated lssim trace file")
+        << "cut at byte " << cut;
+    PipeBuf pipe(bytes.substr(0, cut));
+    std::istream is(&pipe);
+    EXPECT_EQ(stream_load_error(is), "truncated lssim trace file")
+        << "pipe cut at byte " << cut;
+  }
+  EXPECT_EQ(bytes_load_error(bytes), "");
+}
+
+TEST(Trace, BadFieldBeforeTruncationIsReportedFirst) {
+  const std::size_t per_block = kBlockBytes / kRecordBytes;
+  // A bad record in an earlier block, at the last slot of a block with
+  // the cut in the next record, and in the same block as the cut.
+  const std::pair<std::size_t, std::size_t> bad_then_cut[] = {
+      {1000, 4000}, {per_block - 1, per_block}, {3990, 4000}};
+  for (const auto& [bad, cut_record] : bad_then_cut) {
+    Trace trace = synthetic_trace(5000);
+    std::vector<TraceRecord> records = trace.records();
+    records[bad].size = 3;
+    Trace corrupt;
+    corrupt.meta() = trace.meta();
+    for (const TraceRecord& r : records) corrupt.append(r);
+    const std::string bytes = saved_bytes(corrupt);
+    const std::size_t cut = header_bytes(corrupt) +
+                            cut_record * kRecordBytes + kRecordBytes / 2;
+    EXPECT_EQ(bytes_load_error(bytes.substr(0, cut)),
+              "corrupt lssim trace file: record " + std::to_string(bad) +
+                  " has size 3");
+  }
+}
+
+TEST(Trace, LoadsMultiBlockTraceFromAStreamThatCannotSeek) {
+  const Trace trace = synthetic_trace(5000);
+  PipeBuf pipe(saved_bytes(trace));
+  std::istream is(&pipe);
+  ASSERT_EQ(is.tellg(), std::istream::pos_type(-1));  // Really unseekable.
+  EXPECT_EQ(Trace::load(is), trace);
+}
+
+TEST(Trace, LoadsMultiBlockVersion1Files) {
+  // 5,000 20-byte v1 records: the records span two 64 KiB blocks.
+  constexpr std::uint64_t kRecords = 5000;
+  std::stringstream buffer;
+  buffer.write("LSTRACE1", 8);
+  v1::put64(buffer, kRecords);
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    v1::put64(buffer, 0x40 * i);
+    v1::put64(buffer, i % 7);
+    v1::put8(buffer, static_cast<std::uint8_t>(i % 4));  // node
+    v1::put8(buffer, static_cast<std::uint8_t>(i % 2));  // op
+    v1::put8(buffer, 8);                                 // size
+    v1::put8(buffer, static_cast<std::uint8_t>(i % 3));  // tag
+  }
+  ASSERT_GT(buffer.str().size(), kBlockBytes);
+  const Trace loaded = Trace::load(buffer);
+  ASSERT_EQ(loaded.size(), kRecords);
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    const TraceRecord& r = loaded.records()[i];
+    ASSERT_EQ(r.addr, 0x40 * i) << i;
+    ASSERT_EQ(r.issue_gap, i % 7) << i;
+    ASSERT_EQ(r.node, i % 4) << i;
+    ASSERT_EQ(r.op, i % 2) << i;
+    ASSERT_EQ(r.size, 8) << i;
+    ASSERT_EQ(r.tag, i % 3) << i;
+    ASSERT_EQ(r.wdata, 1u) << i;
+  }
+}
+
+TEST(Trace, LoadStopsRightAfterTheLastRecord) {
+  const Trace trace = synthetic_trace(5000);
+  const std::string bytes = saved_bytes(trace) + "TRAILER";
+  {
+    std::istringstream is(bytes);
+    EXPECT_EQ(Trace::load(is), trace);
+    EXPECT_EQ(is.tellg(), std::istream::pos_type(bytes.size() - 7));
+    std::string rest;
+    is >> rest;
+    EXPECT_EQ(rest, "TRAILER");
+  }
+  {
+    PipeBuf pipe(bytes);
+    std::istream is(&pipe);
+    EXPECT_EQ(Trace::load(is), trace);
+    std::string rest;
+    is >> rest;
+    EXPECT_EQ(rest, "TRAILER");
+  }
 }
 
 TEST(Trace, ConfigHashIgnoresProtocolKnobs) {
