@@ -5,21 +5,11 @@
 #include <sstream>
 
 namespace lssim {
-namespace {
-
-constexpr std::size_t kBufferBytes = 64 * 1024;
-
-}  // namespace
 
 JsonWriter::JsonWriter(std::ostream& os, int indent)
-    : os_(os),
+    : out_(os),
       indent_(indent > 0 ? static_cast<std::size_t>(indent) : 0),
-      buf_(std::make_unique_for_overwrite<char[]>(kBufferBytes)),
-      pos_(buf_.get()),
-      end_(buf_.get() + kBufferBytes),
       separators_(indent_ > 0 ? ",\n" : ",") {}
-
-JsonWriter::~JsonWriter() { flush(); }
 
 JsonWriter::Shape::Shape(std::string_view text, std::size_t depth,
                          std::size_t indent)
@@ -48,22 +38,6 @@ JsonWriter::Shape JsonWriter::shape(
     assert(w.stack_.size() == stack_.size());
   }
   return Shape(text.str(), stack_.size(), indent_);
-}
-
-void JsonWriter::flush() {
-  if (pos_ == buf_.get()) return;
-  os_.write(buf_.get(), pos_ - buf_.get());
-  pos_ = buf_.get();
-}
-
-void JsonWriter::put_long(std::string_view text) {
-  flush();
-  if (text.size() >= kBufferBytes) {
-    os_.write(text.data(), static_cast<std::streamsize>(text.size()));
-    return;
-  }
-  std::memcpy(pos_, text.data(), text.size());
-  pos_ += text.size();
 }
 
 void JsonWriter::put_escape(char c) {

@@ -16,11 +16,12 @@
 // Unsigned integers print exactly; negative integers and doubles print
 // as %.17g, and non-finite numbers as null (JSON has no Inf/NaN).
 //
-// Output collects in a 64 KiB buffer that goes to the stream whenever it
-// fills, on flush() and on destruction; a failed write sets the stream's
-// state like any ostream write, for the caller to check afterwards. The
-// per-element calls and record() are inline; record() costs one short
-// copy and one number or string conversion per hole.
+// Output collects in an OutputBlock (sim/output_block.hpp) that goes to
+// the stream whenever it fills, on flush() and on destruction; a failed
+// write sets the stream's state like any ostream write, for the caller
+// to check afterwards. The per-element calls and record() are inline;
+// record() costs one short copy and one number or string conversion per
+// hole.
 #pragma once
 
 #include <cassert>
@@ -29,11 +30,12 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "sim/output_block.hpp"
 
 namespace lssim {
 
@@ -71,7 +73,6 @@ class JsonWriter {
   };
 
   explicit JsonWriter(std::ostream& os, int indent = 0);
-  ~JsonWriter();
   JsonWriter(const JsonWriter&) = delete;
   JsonWriter& operator=(const JsonWriter&) = delete;
 
@@ -156,7 +157,7 @@ class JsonWriter {
   void raw(std::string_view text) { put(text); }
 
   /// Hands the buffered text to the stream.
-  void flush();
+  void flush() { out_.flush(); }
 
  private:
   static constexpr std::size_t kChunk = 16;
@@ -171,32 +172,26 @@ class JsonWriter {
   }
 
   void put(char c) {
-    if (pos_ == end_) flush();
-    *pos_++ = c;
+    char* const pos = out_.room(1);
+    *pos = c;
+    out_.advance(pos + 1);
   }
-  void put(std::string_view text) {
-    if (text.size() <= static_cast<std::size_t>(end_ - pos_)) {
-      std::memcpy(pos_, text.data(), text.size());
-      pos_ += text.size();
-    } else {
-      put_long(text);
-    }
-  }
-  void put_long(std::string_view text);
+  void put(std::string_view text) { out_.write(text); }
   /// Copies a shape's piece in whole chunks: a few inline moves where a
   /// short memcpy of variable length is a library call. The chunk past
   /// the piece's end reads the shape's padding and writes buffer space
   /// the next write overwrites.
   void put_piece(const Shape& shape, Shape::Piece piece) {
     const char* const text = shape.text_.data() + piece.offset;
-    if (static_cast<std::size_t>(end_ - pos_) < piece.size + kChunk) {
+    if (out_.free() < piece.size + kChunk) {
       put(std::string_view(text, piece.size));
       return;
     }
+    char* const pos = out_.room(piece.size + kChunk);
     for (std::size_t n = 0; n < piece.size; n += kChunk) {
-      std::memcpy(pos_ + n, text + n, kChunk);
+      std::memcpy(pos + n, text + n, kChunk);
     }
-    pos_ += piece.size;
+    out_.advance(pos + piece.size);
   }
   void put_escape(char c);
 
@@ -204,8 +199,8 @@ class JsonWriter {
   // deleted catch-all keeps a stray int or const char* from converting
   // to the wrong one.
   void fill(std::uint64_t v) {
-    if (end_ - pos_ < 20) flush();  // 20 digits hold any uint64.
-    pos_ = std::to_chars(pos_, end_, v).ptr;
+    char* const pos = out_.room(20);  // 20 digits hold any uint64.
+    out_.advance(std::to_chars(pos, pos + 20, v).ptr);
   }
   void fill(std::string_view text) { string(text); }
   void fill(bool b) {
@@ -260,11 +255,8 @@ class JsonWriter {
     put('"');
   }
 
-  std::ostream& os_;
+  OutputBlock out_;
   std::size_t indent_;
-  std::unique_ptr<char[]> buf_;
-  char* pos_;
-  char* end_;
   std::vector<Level> stack_;
   std::string separators_;  ///< ",\n" and the deepest indent seen so far.
 };
