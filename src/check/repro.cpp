@@ -1,34 +1,74 @@
 #include "check/repro.hpp"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <fstream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
+#include "sim/machine_fields.hpp"
+
 namespace lssim::check {
 namespace {
 
-constexpr const char* kHeader = "lssim-repro v1";
+constexpr const char* kHeader = "lssim-repro v2";
+constexpr const char* kHeaderV1 = "lssim-repro v1";
+
+/// The five version-1 lines that hold several machine fields: the rows
+/// they set, in line order, the first `required` of them mandatory.
+/// Every other v1 machine line is already a v2 line.
+constexpr struct {
+  const char* line;
+  std::size_t required;
+  std::array<const char*, 4> keys;
+} kV1Lines[] = {
+    {"nodes", 1, {"num_nodes"}},
+    {"l1", 3, {"l1.size_bytes", "l1.assoc", "l1.block_bytes"}},
+    {"l2", 3, {"l2.size_bytes", "l2.assoc", "l2.block_bytes"}},
+    {"directory", 2, {"directory", "directory_pointers",
+                      "directory_region", "directory_entries"}},
+    {"interconnect", 1, {"interconnect", "bus_arbitration"}},
+};
 
 [[noreturn]] void parse_fail(int line, const std::string& what) {
   throw std::runtime_error("repro parse error at line " +
                            std::to_string(line) + ": " + what);
 }
 
-/// Reads `field` as an integer in [lo, hi], checked before the caller
-/// narrows it to the config field's type.
-long long read_int(std::istringstream& ls, int line, const char* field,
-                   long long lo, long long hi) {
-  long long v = 0;
-  if (!(ls >> v)) {
-    parse_fail(line, "missing or malformed " + std::string(field));
+/// Reads the next token as a decimal number no larger than `max`,
+/// checked before the caller narrows it; `label` names it in messages.
+std::uint64_t read_number(std::istringstream& ls, int line,
+                          const std::string& label, std::uint64_t max) {
+  std::string token;
+  if (!(ls >> token)) parse_fail(line, "missing " + label);
+  std::uint64_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [stop, ec] = std::from_chars(token.data(), end, value);
+  if (stop != end || ec == std::errc::invalid_argument) {
+    parse_fail(line, "malformed " + label + " '" + token + "'");
   }
-  if (v < lo || v > hi) {
-    parse_fail(line, std::string(field) + " " + std::to_string(v) +
-                         " out of range [" + std::to_string(lo) + ", " +
-                         std::to_string(hi) + "]");
+  if (ec == std::errc::result_out_of_range || value > max) {
+    parse_fail(line, label + " " + token + " out of range [0, " +
+                         std::to_string(max) + "]");
   }
-  return v;
+  return value;
+}
+
+/// Reads the next token as the value of machine field `field`: a name
+/// for named fields, else a number the field can hold. Its range is
+/// validate()'s to check, once the machine is whole.
+void read_field(std::istringstream& ls, int line, const MachineField& field,
+                const std::string& label, MachineConfig& m) {
+  std::uint64_t value = 0;
+  if (field.parse == nullptr) {
+    value = read_number(ls, line, label, field.max);
+  } else if (std::string name; !(ls >> name) || !field.parse(name, &value)) {
+    parse_fail(line, "unknown " + label + " " + name);
+  }
+  field.set(m, value);
 }
 
 /// Rejects anything left on `key`'s line.
@@ -55,28 +95,10 @@ std::string to_string(const ReproAccess& access) {
 }
 
 void save_repro(std::ostream& os, const ReproTrace& trace) {
-  const MachineConfig& m = trace.machine;
   os << kHeader << "\n";
-  os << "protocol " << to_string(m.protocol.kind) << "\n";
-  os << "nodes " << m.num_nodes << "\n";
-  os << "l1 " << m.l1.size_bytes << ' ' << m.l1.assoc << ' '
-     << m.l1.block_bytes << "\n";
-  os << "l2 " << m.l2.size_bytes << ' ' << m.l2.assoc << ' '
-     << m.l2.block_bytes << "\n";
-  os << "default_tagged " << (m.protocol.default_tagged ? 1 : 0) << "\n";
-  os << "tag_hysteresis " << static_cast<int>(m.protocol.tag_hysteresis)
-     << "\n";
-  os << "detag_hysteresis " << static_cast<int>(m.protocol.detag_hysteresis)
-     << "\n";
-  os << "keep_tag_on_lone_write "
-     << (m.protocol.keep_tag_on_lone_write ? 1 : 0) << "\n";
-  os << "ad_detag_on_replacement "
-     << (m.protocol.ad_detag_on_replacement ? 1 : 0) << "\n";
-  os << "directory " << to_string(m.directory_scheme) << ' '
-     << static_cast<int>(m.directory_pointers) << ' ' << m.directory_region
-     << ' ' << m.directory_entries << "\n";
-  os << "interconnect " << to_string(m.interconnect) << ' '
-     << to_string(m.bus_arbitration) << "\n";
+  for (const MachineField& field : kMachineFields) {
+    os << field.key << ' ' << field.text(field.get(trace.machine)) << "\n";
+  }
   for (const ReproAccess& access : trace.accesses) {
     os << to_string(access) << "\n";
   }
@@ -89,6 +111,7 @@ ReproTrace load_repro(std::istream& is) {
   std::string line;
   int line_no = 0;
   bool saw_header = false;
+  bool v1 = false;
   bool saw_end = false;
   std::vector<int> access_lines;  // Index-aligned with trace.accesses.
 
@@ -98,10 +121,12 @@ ReproTrace load_repro(std::istream& is) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty() || line[0] == '#') continue;
     if (!saw_header) {
-      if (line != kHeader) {
+      if (line != kHeader && line != kHeaderV1) {
         parse_fail(line_no, "expected header '" + std::string(kHeader) +
-                                "', got '" + line + "'");
+                                "' or '" + kHeaderV1 + "', got '" + line +
+                                "'");
       }
+      v1 = line == kHeaderV1;
       saw_header = true;
       continue;
     }
@@ -113,74 +138,25 @@ ReproTrace load_repro(std::istream& is) {
       saw_end = true;
       break;
     }
-    if (key == "protocol") {
-      std::string name;
-      ls >> name;
-      if (!kProtocolNames.parse(name, &m.protocol.kind)) {
-        parse_fail(line_no, "unknown protocol " + name);
+    const auto* group = std::find_if(
+        std::begin(kV1Lines), std::end(kV1Lines),
+        [&](const auto& l) { return v1 && key == l.line; });
+    if (group != std::end(kV1Lines)) {
+      for (std::size_t i = 0; i < group->keys.size(); ++i) {
+        const char* row = group->keys[i];
+        if (!row || (i >= group->required && (ls >> std::ws).eof())) break;
+        std::string label = row;  // v1 named values in words.
+        std::replace(label.begin(), label.end(), '_', ' ');
+        read_field(ls, line_no, *find_machine_field(row), label, m);
       }
-    } else if (key == "nodes") {
-      m.num_nodes = static_cast<int>(
-          read_int(ls, line_no, "nodes", 1, kMaxNodes));
-    } else if (key == "l1" || key == "l2") {
-      CacheConfig& cache = key == "l1" ? m.l1 : m.l2;
-      const std::string prefix = key + " ";
-      constexpr long long kMaxU32 = 0xffffffffLL;
-      cache.size_bytes = static_cast<std::uint32_t>(
-          read_int(ls, line_no, (prefix + "size").c_str(), 0, kMaxU32));
-      cache.assoc = static_cast<std::uint32_t>(
-          read_int(ls, line_no, (prefix + "assoc").c_str(), 0, kMaxU32));
-      cache.block_bytes = static_cast<std::uint32_t>(
-          read_int(ls, line_no, (prefix + "block").c_str(), 0, kMaxU32));
-    } else if (key == "default_tagged") {
-      m.protocol.default_tagged = read_int(ls, line_no, key.c_str(), 0, 1) != 0;
-    } else if (key == "tag_hysteresis") {
-      m.protocol.tag_hysteresis = static_cast<std::uint8_t>(
-          read_int(ls, line_no, key.c_str(), 0, 255));
-    } else if (key == "detag_hysteresis") {
-      m.protocol.detag_hysteresis = static_cast<std::uint8_t>(
-          read_int(ls, line_no, key.c_str(), 0, 255));
-    } else if (key == "keep_tag_on_lone_write") {
-      m.protocol.keep_tag_on_lone_write =
-          read_int(ls, line_no, key.c_str(), 0, 1) != 0;
-    } else if (key == "ad_detag_on_replacement") {
-      m.protocol.ad_detag_on_replacement =
-          read_int(ls, line_no, key.c_str(), 0, 1) != 0;
-    } else if (key == "directory") {
-      // "directory <name> <pointers> [<region> <entries>]" — the two
-      // trailing knobs are optional so pre-existing repros still load.
-      std::string scheme;
-      ls >> scheme;
-      if (!kDirectoryNames.parse(scheme, &m.directory_scheme)) {
-        parse_fail(line_no, "unknown directory organisation " + scheme);
-      }
-      m.directory_pointers = static_cast<std::uint8_t>(
-          read_int(ls, line_no, "directory pointers", 0, 255));
-      if (!(ls >> std::ws).eof()) {
-        m.directory_region = static_cast<std::uint16_t>(
-            read_int(ls, line_no, "directory region", 0, 0xffff));
-        m.directory_entries = static_cast<std::uint32_t>(
-            read_int(ls, line_no, "directory entries", 0, 0xffffffffLL));
-      }
-    } else if (key == "interconnect") {
-      // "interconnect <name> [<arbitration>]" — optional as a whole so
-      // pre-seam repros still load (they default to the directory
-      // network, the only transport that existed when they were saved).
-      std::string name;
-      ls >> name;
-      if (!kInterconnectNames.parse(name, &m.interconnect)) {
-        parse_fail(line_no, "unknown interconnect " + name);
-      }
-      std::string arb;
-      if (ls >> arb && !kBusArbitrationNames.parse(arb, &m.bus_arbitration)) {
-        parse_fail(line_no, "unknown bus arbitration " + arb);
-      }
+    } else if (const MachineField* field = find_machine_field(key)) {
+      read_field(ls, line_no, *field, key, m);
     } else if (key == "access") {
       // "access <node> <op> <addr> <size> <wdata> [<expected>]", hex
       // addresses and values.
       ReproAccess access;
       access.node = static_cast<NodeId>(
-          read_int(ls, line_no, "access node", 0, kMaxNodes - 1));
+          read_number(ls, line_no, "access node", kMaxNodes - 1));
       std::string op;
       ls >> op;
       if (!kReproOpNames.parse(op, &access.op)) {
@@ -190,7 +166,7 @@ ReproTrace load_repro(std::istream& is) {
         parse_fail(line_no, "missing or malformed access address");
       }
       ls >> std::dec;
-      const long long size = read_int(ls, line_no, "access size", 1, 8);
+      const std::uint64_t size = read_number(ls, line_no, "access size", 8);
       if (size != 1 && size != 2 && size != 4 && size != 8) {
         parse_fail(line_no, "access size " + std::to_string(size) +
                                 " is not 1, 2, 4 or 8");

@@ -33,9 +33,8 @@ struct ReproAccess {
 };
 
 /// A minimal replayable scenario: machine shape + access sequence. The
-/// embedded MachineConfig carries everything protocol-relevant (node
-/// count, cache geometry, protocol knobs, directory scheme); fields the
-/// checker does not exercise (latencies, telemetry) stay at defaults.
+/// embedded MachineConfig is saved whole (every kMachineFields row);
+/// telemetry and check_invariants, which are run modes, are not.
 struct ReproTrace {
   MachineConfig machine;
   std::vector<ReproAccess> accesses;
@@ -52,28 +51,29 @@ inline constexpr NameTable<MemOpKind, 5> kReproOpNames{
         {MemOpKind::kCas, "CAS", ""},
     }}};
 
-/// Writes the versioned text format:
+/// Writes the versioned text format: the header, one `<key> <value>`
+/// line per kMachineFields row (sim/machine_fields.hpp; names canonical,
+/// flags 0/1, numbers decimal), the accesses (hex addresses and data),
+/// then `end`:
 ///
-///   lssim-repro v1
+///   lssim-repro v2
 ///   protocol LS
-///   nodes 4
-///   l1 32 1 16
-///   l2 64 1 16
-///   default_tagged 0
-///   tag_hysteresis 1
-///   detag_hysteresis 1
-///   keep_tag_on_lone_write 0
-///   ad_detag_on_replacement 1
-///   directory full-map 4
-///   access 0 R 0x0 8 0x0
+///   ...
+///   l1.size_bytes 32
+///   ...
 ///   access 1 W 0x40 8 0xdead
 ///   end
+///
+/// Version-1 files still load. Their machine lines are v2 lines but for
+/// five that group fields: `nodes N`, `l1 SIZE ASSOC BLOCK`, `l2 ...`,
+/// `directory NAME POINTERS [REGION ENTRIES]` and
+/// `interconnect NAME [ARBITRATION]`. Absent fields keep their defaults.
 void save_repro(std::ostream& os, const ReproTrace& trace);
 
-/// Parses the text format; throws std::runtime_error naming the line and
-/// field on malformed input, an unsupported version, an out-of-range
-/// value, a trailing token, an access node at or above `nodes`, or a
-/// machine MachineConfig::validate() rejects.
+/// Parses either version; throws std::runtime_error naming the line and
+/// field on malformed input, an unsupported version, a value its field
+/// cannot hold, a trailing token, an access node at or above
+/// `num_nodes`, or a machine MachineConfig::validate() rejects.
 [[nodiscard]] ReproTrace load_repro(std::istream& is);
 
 /// Convenience wrappers over save/load. load_repro_file throws

@@ -1,10 +1,13 @@
 #include "driver/options.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstdlib>
+#include <iterator>
 
 #include "core/protocol_registry.hpp"
+#include "sim/machine_fields.hpp"
 
 namespace lssim {
 namespace {
@@ -16,12 +19,78 @@ std::string lower(std::string text) {
   return text;
 }
 
-bool parse_u64(const std::string& text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') return false;
-  *out = value;
+/// Flags that set machine fields (--block sets both block sizes). Sizes
+/// take a k/m/g suffix; named fields take a name or alias.
+struct MachineFlag {
+  const char* flag;
+  std::array<const char*, 2> keys;
+  bool size;
+};
+
+constexpr MachineFlag kMachineFlags[] = {
+    {"--procs", {"num_nodes"}, false},
+    {"--l1", {"l1.size_bytes"}, true},
+    {"--l2", {"l2.size_bytes"}, true},
+    {"--assoc", {"l1.assoc"}, false},
+    {"--block", {"l1.block_bytes", "l2.block_bytes"}, true},
+    {"--topology", {"topology"}, false},
+    {"--consistency", {"consistency"}, false},
+    {"--bus-arb", {"bus_arbitration"}, false},
+    {"--dir-pointers", {"directory_pointers"}, false},
+    {"--dir-region", {"directory_region"}, false},
+    {"--dir-entries", {"directory_entries"}, false},
+};
+
+/// Sets `flag`'s fields from its argument `text`, checked against each
+/// field's range (kMachineFields) before it narrows; otherwise sets
+/// `*error` naming the flag.
+bool set_machine_flag(const MachineFlag& flag, const std::string& text,
+                      MachineConfig* machine, std::string* error) {
+  for (const char* key : flag.keys) {
+    if (key == nullptr) break;
+    const MachineField& field = *find_machine_field(key);
+    std::uint64_t value = 0;
+    std::string problem;
+    if (field.parse != nullptr) {
+      if (!field.parse(text, &value)) {
+        problem = std::string("unknown ") + field.key + " (registered:";
+        for (std::uint64_t v = 0; v <= field.max; ++v) {
+          problem += std::string(v == 0 ? " " : ", ") + field.name(v);
+        }
+        problem += ")";
+      }
+    } else if (!(flag.size ? parse_size(text, &value)
+                           : parse_whole(text, &value))) {
+      problem = "not a whole number";
+    } else {
+      problem = field.range_problem(value);
+    }
+    if (!problem.empty()) {
+      *error = std::string("bad ") + flag.flag + " " + text + ": " + problem;
+      return false;
+    }
+    field.set(*machine, value);
+  }
+  return true;
+}
+
+/// A matrix axis flag: the singular form (`--protocol`) takes one name,
+/// the plural (`--protocols`) a comma-separated list. The first kind is
+/// also the machine's, so the manifest names a kind that ran.
+template <typename Kind, std::size_t N>
+bool parse_axis(const NameTable<Kind, N>& table, const std::string& flag,
+                const std::string& value, std::vector<Kind>* kinds,
+                Kind* machine, std::string* error) {
+  if (flag.back() == 's') {
+    if (!table.parse_list(value, flag.c_str(), kinds, error)) return false;
+  } else if (Kind kind; table.parse(value, &kind)) {
+    *kinds = {kind};
+  } else {
+    *error = std::string("unknown ") + table.noun + ": " + value +
+             " (registered: " + table.joined() + ")";
+    return false;
+  }
+  *machine = kinds->front();
   return true;
 }
 
@@ -40,7 +109,9 @@ bool parse_size(const std::string& text, std::uint64_t* out) {
     digits.pop_back();
   }
   std::uint64_t value = 0;
-  if (!parse_u64(digits, &value)) return false;
+  if (!parse_whole(digits, &value) || value > UINT64_MAX / scale) {
+    return false;
+  }
   *out = value * scale;
   return true;
 }
@@ -156,60 +227,22 @@ bool parse_driver_args(int argc, const char* const* argv,
     } else if (arg == "--workload") {
       if (!need_value(i, &value)) return false;
       options->workload = lower(value);
-    } else if (arg == "--protocol") {
-      if (!need_value(i, &value)) return false;
-      ProtocolKind kind;
-      if (!kProtocolNames.parse(value, &kind)) {
-        *error = "unknown protocol: " + value +
-                 " (registered: " + kProtocolNames.joined() + ")";
+    } else if (arg == "--protocol" || arg == "--protocols") {
+      if (!need_value(i, &value) ||
+          !parse_axis(kProtocolNames, arg, value, &options->protocols,
+                      &options->machine.protocol.kind, error)) {
         return false;
       }
-      options->protocols = {kind};
-    } else if (arg == "--protocols") {
-      if (!need_value(i, &value)) return false;
-      if (!kProtocolNames.parse_list(value, "--protocols",
-                                     &options->protocols, error)) {
+    } else if (arg == "--directory" || arg == "--directories") {
+      if (!need_value(i, &value) ||
+          !parse_axis(kDirectoryNames, arg, value, &options->directories,
+                      &options->machine.directory_scheme, error)) {
         return false;
       }
-    } else if (arg == "--directory") {
-      if (!need_value(i, &value)) return false;
-      DirectoryKind kind;
-      if (!kDirectoryNames.parse(value, &kind)) {
-        *error = "unknown directory organisation: " + value +
-                 " (registered: " + kDirectoryNames.joined() + ")";
-        return false;
-      }
-      options->directories = {kind};
-      options->machine.directory_scheme = kind;
-    } else if (arg == "--directories") {
-      if (!need_value(i, &value)) return false;
-      if (!kDirectoryNames.parse_list(value, "--directories",
-                                      &options->directories, error)) {
-        return false;
-      }
-      options->machine.directory_scheme = options->directories.front();
-    } else if (arg == "--interconnect") {
-      if (!need_value(i, &value)) return false;
-      InterconnectKind kind;
-      if (!kInterconnectNames.parse(value, &kind)) {
-        *error = "unknown interconnect: " + value +
-                 " (registered: " + kInterconnectNames.joined() + ")";
-        return false;
-      }
-      options->interconnects = {kind};
-      options->machine.interconnect = kind;
-    } else if (arg == "--interconnects") {
-      if (!need_value(i, &value)) return false;
-      if (!kInterconnectNames.parse_list(value, "--interconnects",
-                                         &options->interconnects, error)) {
-        return false;
-      }
-      options->machine.interconnect = options->interconnects.front();
-    } else if (arg == "--bus-arb") {
-      if (!need_value(i, &value)) return false;
-      if (!kBusArbitrationNames.parse(value,
-                                      &options->machine.bus_arbitration)) {
-        *error = "unknown bus arbitration (fcfs | round-robin): " + value;
+    } else if (arg == "--interconnect" || arg == "--interconnects") {
+      if (!need_value(i, &value) ||
+          !parse_axis(kInterconnectNames, arg, value, &options->interconnects,
+                      &options->machine.interconnect, error)) {
         return false;
       }
     } else if (arg == "--list-protocols") {
@@ -218,30 +251,6 @@ bool parse_driver_args(int argc, const char* const* argv,
       options->list_directories = true;
     } else if (arg == "--list-interconnects") {
       options->list_interconnects = true;
-    } else if (arg == "--dir-pointers") {
-      if (!need_value(i, &value)) return false;
-      std::uint64_t n = 0;
-      if (!parse_u64(value, &n) || n < 1 || n > 7) {
-        *error = "bad --dir-pointers (expected 1..7): " + value;
-        return false;
-      }
-      options->machine.directory_pointers = static_cast<std::uint8_t>(n);
-    } else if (arg == "--dir-region") {
-      if (!need_value(i, &value)) return false;
-      std::uint64_t n = 0;
-      if (!parse_u64(value, &n) || n > 256) {
-        *error = "bad --dir-region (expected 0..256, 0 = auto): " + value;
-        return false;
-      }
-      options->machine.directory_region = static_cast<std::uint16_t>(n);
-    } else if (arg == "--dir-entries") {
-      if (!need_value(i, &value)) return false;
-      std::uint64_t n = 0;
-      if (!parse_u64(value, &n)) {
-        *error = "bad --dir-entries: " + value;
-        return false;
-      }
-      options->machine.directory_entries = static_cast<std::uint32_t>(n);
     } else if (arg == "--metrics-out") {
       if (!need_value(i, &value)) return false;
       options->metrics_out = value;
@@ -259,12 +268,10 @@ bool parse_driver_args(int argc, const char* const* argv,
       options->audit_out = value;
     } else if (arg == "--audit-capacity") {
       if (!need_value(i, &value)) return false;
-      std::uint64_t n = 0;
-      if (!parse_u64(value, &n)) {
+      if (!parse_whole(value, &options->audit_capacity)) {
         *error = "bad --audit-capacity: " + value;
         return false;
       }
-      options->audit_capacity = static_cast<std::size_t>(n);
     } else if (arg == "--heartbeat-out") {
       if (!need_value(i, &value)) return false;
       options->heartbeat_out = value;
@@ -279,25 +286,23 @@ bool parse_driver_args(int argc, const char* const* argv,
       options->heartbeat_interval = secs;
     } else if (arg == "--jobs") {
       if (!need_value(i, &value)) return false;
-      std::uint64_t n = 0;
-      if (!parse_u64(value, &n) || n > 1024) {
+      if (!parse_whole(value, &options->jobs) || options->jobs < 0 ||
+          options->jobs > 1024) {
         *error = "bad --jobs (expected 0..1024, 0 = all cores): " + value;
         return false;
       }
-      options->jobs = static_cast<int>(n);
     } else if (arg == "--trace-capacity") {
       if (!need_value(i, &value)) return false;
-      std::uint64_t n = 0;
-      if (!parse_u64(value, &n)) {
+      if (!parse_whole(value, &options->trace_capacity)) {
         *error = "bad --trace-capacity: " + value;
         return false;
       }
-      options->trace_capacity = static_cast<std::size_t>(n);
     } else if (arg == "--check-invariants") {
       options->machine.check_invariants = true;
     } else if (arg == "--compare") {
       options->compare = true;
       options->protocols = all_protocol_kinds();
+      options->machine.protocol.kind = options->protocols.front();
     } else if (arg == "--capture-trace") {
       if (!need_value(i, &value)) return false;
       options->capture_trace_out = value;
@@ -308,57 +313,11 @@ bool parse_driver_args(int argc, const char* const* argv,
       options->replay_compare = true;
     } else if (arg == "--replay-crosscheck") {
       options->replay_crosscheck = true;
-    } else if (arg == "--procs") {
-      if (!need_value(i, &value)) return false;
-      std::uint64_t n = 0;
-      if (!parse_u64(value, &n) || n < 1 || n > kMaxNodes) {
-        *error = "bad --procs: " + value;
-        return false;
-      }
-      options->machine.num_nodes = static_cast<int>(n);
-    } else if (arg == "--l1" || arg == "--l2") {
-      if (!need_value(i, &value)) return false;
-      std::uint64_t bytes = 0;
-      if (!parse_size(value, &bytes) || bytes == 0) {
-        *error = "bad size: " + value;
-        return false;
-      }
-      (arg == "--l1" ? options->machine.l1 : options->machine.l2)
-          .size_bytes = static_cast<std::uint32_t>(bytes);
-    } else if (arg == "--assoc") {
-      if (!need_value(i, &value)) return false;
-      std::uint64_t n = 0;
-      if (!parse_u64(value, &n) || n == 0) {
-        *error = "bad --assoc: " + value;
-        return false;
-      }
-      options->machine.l1.assoc = static_cast<std::uint32_t>(n);
-    } else if (arg == "--block") {
-      if (!need_value(i, &value)) return false;
-      std::uint64_t bytes = 0;
-      if (!parse_size(value, &bytes) || bytes == 0) {
-        *error = "bad --block: " + value;
-        return false;
-      }
-      options->machine.l1.block_bytes = static_cast<std::uint32_t>(bytes);
-      options->machine.l2.block_bytes = static_cast<std::uint32_t>(bytes);
-    } else if (arg == "--topology") {
-      if (!need_value(i, &value)) return false;
-      if (!kTopologyNames.parse(value, &options->machine.topology)) {
-        *error = "unknown topology: " + value;
-        return false;
-      }
-    } else if (arg == "--consistency") {
-      if (!need_value(i, &value)) return false;
-      if (!kConsistencyNames.parse(value, &options->machine.consistency)) {
-        *error = "unknown consistency model: " + value;
-        return false;
-      }
     } else if (arg == "--false-sharing") {
       options->machine.classify_false_sharing = true;
     } else if (arg == "--seed") {
       if (!need_value(i, &value)) return false;
-      if (!parse_u64(value, &options->seed)) {
+      if (!parse_whole(value, &options->seed)) {
         *error = "bad --seed: " + value;
         return false;
       }
@@ -374,6 +333,14 @@ bool parse_driver_args(int argc, const char* const* argv,
       if (!need_value(i, &value)) return false;
       if (!kOutputFormatNames.parse(value, &options->format)) {
         *error = "unknown format: " + value;
+        return false;
+      }
+    } else if (const auto* flag = std::find_if(
+                   std::begin(kMachineFlags), std::end(kMachineFlags),
+                   [&arg](const MachineFlag& f) { return arg == f.flag; });
+               flag != std::end(kMachineFlags)) {
+      if (!need_value(i, &value) ||
+          !set_machine_flag(*flag, value, &options->machine, error)) {
         return false;
       }
     } else {

@@ -10,9 +10,11 @@
 //             --set txns_per_proc=500 --format csv --compare
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/config.hpp"
@@ -103,7 +105,17 @@ struct DriverOptions {
 bool parse_driver_args(int argc, const char* const* argv,
                        DriverOptions* options, std::string* error);
 
-/// "64k" -> 65536, "1m" -> 1048576, "512" -> 512. Returns false on junk.
+/// Whole-string parse of `text` into `out`: no leading blanks, a sign
+/// only where T allows one, nothing trailing, nothing T cannot hold.
+template <typename T>
+bool parse_whole(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// "64k" -> 65536, "1m" -> 1048576, "512" -> 512. Returns false on junk
+/// and on sizes above 2^64 - 1.
 bool parse_size(const std::string& text, std::uint64_t* out);
 
 /// Usage text for --help.

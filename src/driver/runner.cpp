@@ -1,7 +1,6 @@
 #include "driver/runner.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <ostream>
@@ -27,15 +26,6 @@
 
 namespace lssim {
 namespace {
-
-/// Whole-string parse of `text` into `out` (no leading blanks, sign
-/// only where the type allows one, nothing trailing).
-template <typename T>
-bool parse_whole(const std::string& text, T* out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && ptr == end;
-}
 
 class ParamReader {
  public:
@@ -327,15 +317,12 @@ std::string run_label(const DriverOptions& options, const RunResult& r) {
 }  // namespace
 
 ReplayDriverOutcome run_driver_replay(const DriverOptions& options) {
-  // The capture (or loaded-trace) machine: first matrix cell. Replay
-  // only re-runs the protocol layer, so which cell captures is
-  // irrelevant for feedback-insensitive workloads and documented as the
-  // first cell otherwise.
-  MachineConfig base = options.machine;
-  base.protocol.kind = options.protocols.front();
-  if (!options.directories.empty()) {
-    base.directory_scheme = options.directories.front();
-  }
+  // The capture (or loaded-trace) machine: first matrix cell, which
+  // parse_driver_args also makes the machine's protocol, organisation
+  // and transport. Replay only re-runs the protocol layer, so which cell
+  // captures is irrelevant for feedback-insensitive workloads and
+  // documented as the first cell otherwise.
+  const MachineConfig& base = options.machine;
   const std::string problem = base.validate();
   if (!problem.empty()) {
     throw std::invalid_argument("invalid machine configuration: " + problem);

@@ -82,6 +82,7 @@ struct CacheConfig {
   [[nodiscard]] std::uint32_t num_sets() const noexcept {
     return size_bytes / (assoc * block_bytes);
   }
+  [[nodiscard]] bool operator==(const CacheConfig&) const = default;
 };
 
 /// Component latencies (cycles), Figure 2 / Table 1. The composition rules
@@ -98,6 +99,7 @@ struct LatencyConfig {
   Cycles fill = 10;        ///< Refilling the local cache on reply.
   /// How long a message occupies its source->dest link (contention model).
   Cycles link_occupancy = 8;
+  [[nodiscard]] bool operator==(const LatencyConfig&) const = default;
 };
 
 /// Knobs for the LS / AD techniques (paper §3.1 and §5.5 variations).
@@ -137,6 +139,7 @@ struct ProtocolConfig {
   /// propagation.repro can prove the invariant checker catches the
   /// class. Inert under invalidation-based protocols.
   bool trust_update_sharers = false;
+  [[nodiscard]] bool operator==(const ProtocolConfig&) const = default;
 };
 
 /// Directory organisation. Each kind is backed by a DirectoryPolicy
@@ -292,6 +295,7 @@ struct TelemetryConfig {
     return metrics || trace_capacity > 0 || audit_capacity > 0 ||
            event_log_capacity > 0;
   }
+  [[nodiscard]] bool operator==(const TelemetryConfig&) const = default;
 };
 
 /// Whole-machine configuration.
@@ -357,9 +361,12 @@ struct MachineConfig {
   [[nodiscard]] static MachineConfig oltp_default(
       ProtocolKind kind = ProtocolKind::kBaseline, int nodes = 4);
 
-  /// Validates invariants (power-of-two geometry, node count); returns an
-  /// empty string when valid, otherwise a description of the problem.
+  /// Checks each field's range (sim/machine_fields.hpp), then the rules
+  /// that span fields; returns an empty string when valid, otherwise a
+  /// description of the problem.
   [[nodiscard]] std::string validate() const;
+
+  [[nodiscard]] bool operator==(const MachineConfig&) const = default;
 };
 
 }  // namespace lssim

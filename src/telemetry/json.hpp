@@ -130,16 +130,9 @@ class Json {
   bool read_uint(std::string_view key, T* out, std::string* error) const {
     const Json* v = find(key);
     if (v == nullptr) return true;
-    return v->read_uint_value(key, out, error);
-  }
-  /// As read_uint, for this value itself (an array element, say);
-  /// `key` only names it in the message.
-  template <typename T>
-  bool read_uint_value(std::string_view key, T* out,
-                       std::string* error) const {
     const auto max = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
     std::uint64_t value = 0;
-    if (!to_uint(max, &value)) {
+    if (!v->to_uint(max, &value)) {
       if (error != nullptr) {
         *error = "field '" + std::string(key) +
                  "' must be a whole number from 0 to " + std::to_string(max);

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "sim/machine_fields.hpp"
 #include "telemetry/latency_report.hpp"
 #include "workloads/result_fields.hpp"
 
@@ -23,132 +24,98 @@ bool is_index(std::string_view member) {
          member.find_first_not_of("0123456789") == std::string_view::npos;
 }
 
-Json cache_config_to_json(const CacheConfig& cache) {
-  Json::Object o;
-  o.emplace_back("size_bytes", Json(cache.size_bytes));
-  o.emplace_back("assoc", Json(cache.assoc));
-  o.emplace_back("block_bytes", Json(cache.block_bytes));
-  return Json(std::move(o));
+bool fail(std::string* error, std::string what) {
+  if (error != nullptr) *error = std::move(what);
+  return false;
 }
 
-bool cache_config_from_json(const Json& json, CacheConfig* out,
-                            std::string* error) {
-  if (!json.is_object()) {
-    if (error != nullptr) *error = "cache config must be an object";
-    return false;
+/// Adds `field`'s value `v` to the object `o` under the row's key path.
+/// Rows that share a group are adjacent, so a group is only ever the
+/// last member.
+template <typename Object>
+void put_field(Json::Object& o, const FieldRow<Object>& field,
+               std::uint64_t v) {
+  Json value = field.name != nullptr ? Json(field.name(v))
+               : field.flag          ? Json(v != 0)
+                                     : Json(v);
+  const auto [group, member] = split_key(field.key);
+  if (member.empty()) {
+    o.emplace_back(std::string(group), std::move(value));
+    return;
   }
-  return json.read_uint("size_bytes", &out->size_bytes, error) &&
-         json.read_uint("assoc", &out->assoc, error) &&
-         json.read_uint("block_bytes", &out->block_bytes, error);
+  if (o.empty() || o.back().first != group) {
+    o.emplace_back(std::string(group), is_index(member)
+                                           ? Json(Json::Array{})
+                                           : Json(Json::Object{}));
+  }
+  Json& holder = o.back().second;
+  if (holder.is_array()) {
+    holder.as_array().push_back(std::move(value));
+  } else {
+    holder.set(std::string(member), std::move(value));
+  }
 }
 
+/// Reads `field` from `json` into `*out`. An absent value leaves `*out`
+/// untouched (older documents lack newer fields). Errors name `label`.
+template <typename Object>
+bool read_field(const Json& json, const FieldRow<Object>& field,
+                std::string_view label, Object* out, std::string* error) {
+  const auto [group, member] = split_key(field.key);
+  const Json* v = json.find(group);
+  if (v != nullptr && !member.empty()) {
+    if (is_index(member)) {
+      const std::size_t index = std::stoul(std::string(member));
+      if (!v->is_array() || v->as_array().size() <= index) {
+        return fail(error, "'" + std::string(group) +
+                               "' must be an array of at least " +
+                               std::to_string(index + 1) + " numbers");
+      }
+      v = &v->as_array()[index];
+    } else {
+      if (!v->is_object()) {
+        return fail(error, "'" + std::string(group) + "' must be an object");
+      }
+      v = v->find(member);
+    }
+  }
+  if (v == nullptr) return true;
+  const std::string name = "field '" + std::string(label) + "'";
+  std::uint64_t value = v->as_bool() ? 1 : 0;
+  if (field.parse != nullptr) {
+    if (!v->is_string() || !field.parse(v->as_string(), &value)) {
+      return fail(error, "unknown name in " + name);
+    }
+  } else if (field.flag ? !v->is_bool() : !v->to_uint(field.max, &value)) {
+    return fail(error, name + (field.flag ? " must be true or false"
+                                          : " must be a whole number from 0 "
+                                            "to " + std::to_string(field.max)));
+  }
+  field.set(*out, value);
+  return true;
+}
+
+/// Every kMachineFields row (schema 3 wrote a subset: the organisation
+/// knob and bus arbitration only where they applied, no latencies or
+/// protocol knobs; those documents still parse).
 Json machine_to_json(const MachineConfig& machine) {
   Json::Object o;
-  o.emplace_back("protocol", Json(to_string(machine.protocol.kind)));
-  o.emplace_back("num_nodes", Json(machine.num_nodes));
-  o.emplace_back("page_bytes", Json(machine.page_bytes));
-  o.emplace_back("l1", cache_config_to_json(machine.l1));
-  o.emplace_back("l2", cache_config_to_json(machine.l2));
-  o.emplace_back("topology", Json(to_string(machine.topology)));
-  o.emplace_back("consistency", Json(to_string(machine.consistency)));
-  // Schema version 3: "directory" is the registry name of the directory
-  // organisation, followed by the knob relevant to it (absent knobs mean
-  // "default / not applicable").
-  o.emplace_back("directory", Json(to_string(machine.directory_scheme)));
-  switch (machine.directory_scheme) {
-    case DirectoryKind::kFullMap:
-      break;
-    case DirectoryKind::kLimitedPtr:
-      o.emplace_back("directory_pointers", Json(machine.directory_pointers));
-      break;
-    case DirectoryKind::kCoarseVector:
-      o.emplace_back("directory_region", Json(machine.directory_region));
-      break;
-    case DirectoryKind::kSparse:
-      o.emplace_back("directory_entries", Json(machine.directory_entries));
-      break;
+  for (const MachineField& field : kMachineFields) {
+    put_field(o, field, field.get(machine));
   }
-  // Pure addition (schema version kept): the coherence transport, with
-  // the arbitration knob only where it applies — mirroring the
-  // directory-knob pattern above.
-  o.emplace_back("interconnect", Json(to_string(machine.interconnect)));
-  if (machine.interconnect == InterconnectKind::kBus) {
-    o.emplace_back("bus_arbitration",
-                   Json(to_string(machine.bus_arbitration)));
-  }
-  o.emplace_back("classify_false_sharing",
-                 Json(machine.classify_false_sharing));
   return Json(std::move(o));
 }
 
 bool machine_from_json(const Json& json, MachineConfig* out,
                        std::string* error) {
-  const auto fail = [error](const char* what) {
-    if (error != nullptr) *error = what;
-    return false;
-  };
-  if (!json.is_object()) return fail("machine config must be an object");
-  // Absent in schema-version-1 documents; parsed by registry name since 2.
-  if (const Json* proto = json.find("protocol"); proto != nullptr) {
-    if (!proto->is_string() ||
-        !kProtocolNames.parse(proto->as_string(), &out->protocol.kind)) {
-      return fail("unknown protocol name in machine config");
+  if (!json.is_object()) return fail(error, "machine config must be an object");
+  for (const MachineField& field : kMachineFields) {
+    // Named by member, as the document nests it ("size_bytes" of "l1").
+    const std::string_view member = split_key(field.key).second;
+    if (!read_field(json, field, member.empty() ? field.key : member, out,
+                    error)) {
+      return false;
     }
-  }
-  if (!json.read_uint("num_nodes", &out->num_nodes, error) ||
-      !json.read_uint("page_bytes", &out->page_bytes, error)) {
-    return false;
-  }
-  if (const Json* l1 = json.find("l1"); l1 != nullptr) {
-    if (!cache_config_from_json(*l1, &out->l1, error)) return false;
-  }
-  if (const Json* l2 = json.find("l2"); l2 != nullptr) {
-    if (!cache_config_from_json(*l2, &out->l2, error)) return false;
-  }
-  if (const Json* topo = json.find("topology"); topo != nullptr) {
-    if (!topo->is_string() ||
-        !kTopologyNames.parse(topo->as_string(), &out->topology)) {
-      return fail("unknown topology");
-    }
-  }
-  if (const Json* cons = json.find("consistency"); cons != nullptr) {
-    if (!cons->is_string() ||
-        !kConsistencyNames.parse(cons->as_string(), &out->consistency)) {
-      return fail("unknown consistency model");
-    }
-  }
-  // Absent before schema version 3 (version-2 documents carried the
-  // field but it was never parsed; the same names resolve either way).
-  if (const Json* dir = json.find("directory"); dir != nullptr) {
-    if (!dir->is_string() ||
-        !kDirectoryNames.parse(dir->as_string(), &out->directory_scheme)) {
-      return fail("unknown directory organisation in machine config");
-    }
-  }
-  if (!json.read_uint("directory_pointers", &out->directory_pointers,
-                      error) ||
-      !json.read_uint("directory_region", &out->directory_region, error) ||
-      !json.read_uint("directory_entries", &out->directory_entries, error)) {
-    return false;
-  }
-  // Absent in pre-interconnect-seam documents (implies the directory
-  // network).
-  if (const Json* net = json.find("interconnect"); net != nullptr) {
-    if (!net->is_string() ||
-        !kInterconnectNames.parse(net->as_string(), &out->interconnect)) {
-      return fail("unknown interconnect in machine config");
-    }
-  }
-  if (const Json* arb = json.find("bus_arbitration"); arb != nullptr) {
-    if (!arb->is_string() ||
-        !kBusArbitrationNames.parse(arb->as_string(),
-                                    &out->bus_arbitration)) {
-      return fail("unknown bus arbitration in machine config");
-    }
-  }
-  if (const Json* fs = json.find("classify_false_sharing");
-      fs != nullptr && fs->is_bool()) {
-    out->classify_false_sharing = fs->as_bool();
   }
   return true;
 }
@@ -158,25 +125,7 @@ bool machine_from_json(const Json& json, MachineConfig* out,
 Json run_result_to_json(const RunResult& result) {
   Json::Object o;
   for (const RunResultField& field : kRunResultFields) {
-    if (!field.in_manifest) continue;
-    const std::uint64_t v = field.get(result);
-    Json value = field.name != nullptr ? Json(field.name(v)) : Json(v);
-    const auto [group, member] = split_key(field.key);
-    if (member.empty()) {
-      o.emplace_back(std::string(group), std::move(value));
-      continue;
-    }
-    if (o.empty() || o.back().first != group) {
-      o.emplace_back(std::string(group), is_index(member)
-                                             ? Json(Json::Array{})
-                                             : Json(Json::Object{}));
-    }
-    Json& holder = o.back().second;
-    if (holder.is_array()) {
-      holder.as_array().push_back(std::move(value));
-    } else {
-      holder.set(std::string(member), std::move(value));
-    }
+    if (field.in_manifest) put_field(o, field, field.get(result));
   }
   // Derived ratios for human/plotting convenience; ignored on parse.
   Json::Object derived;
@@ -191,43 +140,13 @@ Json run_result_to_json(const RunResult& result) {
 
 bool run_result_from_json(const Json& json, RunResult* out,
                           std::string* error) {
-  const auto fail = [error](std::string what) {
-    if (error != nullptr) *error = std::move(what);
-    return false;
-  };
-  if (!json.is_object()) return fail("run result must be an object");
+  if (!json.is_object()) return fail(error, "run result must be an object");
   *out = RunResult{};
   for (const RunResultField& field : kRunResultFields) {
-    if (!field.in_manifest) continue;
-    const auto [group, member] = split_key(field.key);
-    // Absent members keep their defaults (older documents).
-    const Json* v = json.find(group);
-    if (v != nullptr && !member.empty()) {
-      if (is_index(member)) {
-        const std::size_t index = std::stoul(std::string(member));
-        if (!v->is_array() || v->as_array().size() <= index) {
-          return fail("'" + std::string(group) + "' must be an array of " +
-                      "at least " + std::to_string(index + 1) + " numbers");
-        }
-        v = &v->as_array()[index];
-      } else {
-        if (!v->is_object()) {
-          return fail("'" + std::string(group) + "' must be an object");
-        }
-        v = v->find(member);
-      }
-    }
-    if (v == nullptr) continue;
-    std::uint64_t value = 0;
-    if (field.parse != nullptr) {
-      if (!v->is_string() || !field.parse(v->as_string(), &value)) {
-        return fail("unknown name in field '" + std::string(field.key) +
-                    "'");
-      }
-    } else if (!v->read_uint_value(field.key, &value, error)) {
+    if (field.in_manifest &&
+        !read_field(json, field, field.key, out, error)) {
       return false;
     }
-    field.set(*out, value);
   }
   return true;
 }
@@ -267,20 +186,16 @@ Json manifest_to_json(const RunManifest& manifest) {
 
 bool manifest_from_json(const Json& json, RunManifest* out,
                         std::string* error) {
-  const auto fail = [error](const char* what) {
-    if (error != nullptr) *error = what;
-    return false;
-  };
-  if (!json.is_object()) return fail("manifest must be an object");
+  if (!json.is_object()) return fail(error, "manifest must be an object");
   *out = RunManifest{};
   if (json.find("schema_version") == nullptr) {
-    return fail("manifest needs a numeric 'schema_version'");
+    return fail(error, "manifest needs a numeric 'schema_version'");
   }
   if (!json.read_uint("schema_version", &out->schema_version, error)) {
     return false;
   }
   if (out->schema_version > kManifestSchemaVersion) {
-    return fail("manifest schema_version is newer than this build");
+    return fail(error, "manifest schema_version is newer than this build");
   }
   if (const Json* gen = json.find("generator");
       gen != nullptr && gen->is_string()) {
@@ -292,9 +207,9 @@ bool manifest_from_json(const Json& json, RunManifest* out,
   }
   if (!json.read_uint("seed", &out->seed, error)) return false;
   if (const Json* params = json.find("params"); params != nullptr) {
-    if (!params->is_object()) return fail("'params' must be an object");
+    if (!params->is_object()) return fail(error, "'params' must be an object");
     for (const auto& [k, v] : params->as_object()) {
-      if (!v.is_string()) return fail("'params' values must be strings");
+      if (!v.is_string()) return fail(error, "'params' values must be strings");
       out->params[k] = v.as_string();
     }
   }
@@ -307,13 +222,13 @@ bool manifest_from_json(const Json& json, RunManifest* out,
   }
   const Json* runs = json.find("runs");
   if (runs == nullptr || !runs->is_array()) {
-    return fail("manifest needs a 'runs' array");
+    return fail(error, "manifest needs a 'runs' array");
   }
   for (const Json& r : runs->as_array()) {
-    if (!r.is_object()) return fail("run entry must be an object");
+    if (!r.is_object()) return fail(error, "run entry must be an object");
     RunManifest::ProtocolRun run;
     const Json* result = r.find("result");
-    if (result == nullptr) return fail("run entry needs a 'result'");
+    if (result == nullptr) return fail(error, "run entry needs a 'result'");
     if (!run_result_from_json(*result, &run.result, error)) return false;
     if (const Json* metrics = r.find("metrics"); metrics != nullptr) {
       if (!snapshot_from_json(*metrics, &run.metrics, error)) return false;

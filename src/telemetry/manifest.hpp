@@ -27,6 +27,9 @@
 //       `directory_region` or `directory_entries`). Run objects record
 //       the organisation they executed under (`directory`) and
 //       `dir_entry_evictions`. Version-2 documents still parse.
+//       Later addition (version kept): the machine object writes every
+//       kMachineFields row (sim/machine_fields.hpp), latencies and
+//       protocol knobs included, and its `protocol` is the first one run.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "sim/machine_fields.hpp"
+
 namespace lssim {
 namespace {
 
@@ -38,32 +40,11 @@ class Fnv1a {
 std::uint64_t trace_config_hash(const MachineConfig& config,
                                 std::uint32_t version) noexcept {
   Fnv1a h;
-  h.mix(static_cast<std::uint64_t>(config.num_nodes));
-  h.mix(config.page_bytes);
-  for (const CacheConfig* cache : {&config.l1, &config.l2}) {
-    h.mix(cache->size_bytes);
-    h.mix(cache->assoc);
-    h.mix(cache->block_bytes);
-  }
-  const LatencyConfig& lat = config.latency;
-  h.mix(lat.l1_access);
-  h.mix(lat.l2_access);
-  h.mix(lat.l2_readout);
-  h.mix(lat.controller);
-  h.mix(lat.memory);
-  h.mix(lat.hop);
-  h.mix(lat.fill);
-  h.mix(lat.link_occupancy);
-  h.mix(config.word_bytes);
-  h.mix(static_cast<std::uint64_t>(config.consistency));
-  h.mix(config.write_buffer_depth);
-  h.mix(static_cast<std::uint64_t>(config.topology));
-  if (version >= 1) {
-    // Schema 1 (the interconnect seam): the transport changes every
-    // issue-time the per-record gaps were measured against, so it is as
-    // capture-binding as topology.
-    h.mix(static_cast<std::uint64_t>(config.interconnect));
-    h.mix(static_cast<std::uint64_t>(config.bus_arbitration));
+  for (const MachineField& field : kMachineFields) {
+    if (field.hashed == Hashed::kTrace0 ||
+        (field.hashed == Hashed::kTrace1 && version >= 1)) {
+      h.mix(field.get(config));
+    }
   }
   return h.value();
 }
@@ -106,23 +87,12 @@ std::uint64_t sweep_config_hash(
   Fnv1a h;
   h.mix(std::uint64_t{kSweepConfigHashVersion});
   // The protocol-insensitive machine fields, exactly as a trace capture
-  // would hash them (node count, caches, latencies, consistency,
-  // topology, transport).
+  // would hash them, then the protocol, directory and classifier fields
+  // trace_config_hash deliberately leaves out.
   h.mix(trace_config_hash(config));
-  // The axes trace_config_hash deliberately leaves out: the protocol and
-  // its behavioural knobs, the directory organisation and its knobs.
-  const ProtocolConfig& p = config.protocol;
-  h.mix(static_cast<std::uint64_t>(p.kind));
-  h.mix(static_cast<std::uint64_t>(p.default_tagged));
-  h.mix(p.tag_hysteresis);
-  h.mix(p.detag_hysteresis);
-  h.mix(static_cast<std::uint64_t>(p.keep_tag_on_lone_write));
-  h.mix(static_cast<std::uint64_t>(p.ad_detag_on_replacement));
-  h.mix(static_cast<std::uint64_t>(config.directory_scheme));
-  h.mix(config.directory_pointers);
-  h.mix(config.directory_region);
-  h.mix(config.directory_entries);
-  h.mix(static_cast<std::uint64_t>(config.classify_false_sharing));
+  for (const MachineField& field : kMachineFields) {
+    if (field.hashed == Hashed::kSweep) h.mix(field.get(config));
+  }
   // What ran on the machine: workload, parameter overrides (in the
   // caller-supplied order — the sweep generator emits them sorted), seed.
   h.mix(workload);

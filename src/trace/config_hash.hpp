@@ -1,13 +1,14 @@
-// Machine-configuration hash for cached access traces.
+// Machine-configuration hashes: trace_config_hash for cached access
+// traces and sweep_config_hash for results-store keys. Both mix the rows
+// kMachineFields (sim/machine_fields.hpp) marks for them, in table order.
 //
 // A recorded trace is only meaningful against machines whose
-// *protocol-insensitive* configuration matches the capture machine: node
-// count and page interleaving (which addresses exist and where they
-// live), cache geometry and latencies (which determine the issue times
-// the per-record gaps were measured against), consistency model and
-// topology. Protocol and directory-organisation knobs are deliberately
-// excluded — sweeping those over one trace is the entire point of the
-// capture-once/replay-many engine (trace/replay_compare.hpp).
+// *protocol-insensitive* configuration matches the capture machine:
+// which addresses exist and where they live, and the geometry, latencies
+// and transport the per-record gaps were measured against. Protocol and
+// directory-organisation knobs are deliberately excluded — sweeping
+// those over one trace is the entire point of the capture-once/
+// replay-many engine (trace/replay_compare.hpp).
 #pragma once
 
 #include <cstdint>

@@ -5,70 +5,28 @@
 // formats (stats/report.cpp, driver/runner.cpp) print curated column
 // sets of their own, in an order that is part of their output contract.
 //
-// A key is a path: "exec_cycles" is a top-level member of the manifest's
-// result object, "time.busy" member `busy` of the nested object `time`,
-// "read_miss_home.2" element 2 of the array `read_miss_home`. Rows that
-// share a group are adjacent, in manifest order. Oracle counters are not
-// in the manifest; their rows only drive the comparison.
+// A key is a path: "time.busy" is member `busy` of the nested object
+// `time`, "read_miss_home.2" element 2 of the array `read_miss_home`.
+// Rows that share a group are adjacent, in manifest order. Oracle
+// counters are not in the manifest; their rows only drive the comparison.
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <string_view>
-#include <type_traits>
-#include <utility>
-
 #include "sim/config.hpp"
+#include "sim/field_row.hpp"
 #include "workloads/harness.hpp"
 
 namespace lssim {
 
-struct RunResultField {
-  const char* key;   ///< Manifest key path; diff messages name it.
+struct RunResultField : FieldRow<RunResult> {
   bool in_manifest;  ///< False: compared, never serialised.
-  std::uint64_t (*get)(const RunResult& result);
-  void (*set)(RunResult& result, std::uint64_t value);
-  /// Name fields only (null otherwise): the canonical name of a value,
-  /// and the inverse parse (aliases accepted).
-  const char* (*name)(std::uint64_t value);
-  bool (*parse)(std::string_view text, std::uint64_t* value);
-
-  /// `value` as the manifest shows it: a name or a decimal number.
-  [[nodiscard]] std::string text(std::uint64_t value) const {
-    return name != nullptr ? std::string(name(value))
-                           : std::to_string(value);
-  }
 };
 
 namespace result_fields {
 
-/// Follows `Path` — member pointers and array indices — from `object`
-/// to one value.
-template <auto Step, auto... Rest, typename T>
-constexpr auto& walk(T& object) {
-  auto& next = [&]() -> auto& {
-    if constexpr (std::is_member_object_pointer_v<decltype(Step)>) {
-      return object.*Step;
-    } else {
-      return object[Step];
-    }
-  }();
-  if constexpr (sizeof...(Rest) == 0) {
-    return next;
-  } else {
-    return walk<Rest...>(next);
-  }
-}
-
 /// A counter at `Path`; `in_manifest` false for oracle counters.
 template <auto... Path>
 constexpr RunResultField counter(const char* key, bool in_manifest = true) {
-  return {key, in_manifest,
-          [](const RunResult& r) -> std::uint64_t {
-            return walk<Path...>(r);
-          },
-          [](RunResult& r, std::uint64_t v) { walk<Path...>(r) = v; },
-          nullptr, nullptr};
+  return {field_row::number<RunResult, Path...>(key), in_manifest};
 }
 
 /// Oracle counter `Member` of `oracle_total` (Tag < 0) or of
@@ -85,22 +43,7 @@ constexpr RunResultField oracle(const char* key) {
 /// An enum member named through `Table` (a NameTable).
 template <auto Member, const auto& Table>
 constexpr RunResultField named(const char* key) {
-  using Kind = std::remove_cvref_t<decltype(std::declval<RunResult&>().*
-                                            Member)>;
-  return {key, true,
-          [](const RunResult& r) {
-            return static_cast<std::uint64_t>(r.*Member);
-          },
-          [](RunResult& r, std::uint64_t v) {
-            r.*Member = static_cast<Kind>(v);
-          },
-          [](std::uint64_t v) { return Table.name(static_cast<Kind>(v)); },
-          [](std::string_view text, std::uint64_t* v) {
-            Kind kind;
-            if (!Table.parse(text, &kind)) return false;
-            *v = static_cast<std::uint64_t>(kind);
-            return true;
-          }};
+  return {field_row::named<RunResult, Table, Member>(key), true};
 }
 
 using O = LsOracleCounters;

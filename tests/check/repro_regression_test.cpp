@@ -9,6 +9,8 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -110,19 +112,67 @@ TEST(ReproFormat, SaveLoadRoundTripsExactly) {
   save_repro(ss, trace);
   const ReproTrace loaded = load_repro(ss);
 
-  EXPECT_EQ(loaded.machine.protocol.kind, trace.machine.protocol.kind);
-  EXPECT_EQ(loaded.machine.num_nodes, trace.machine.num_nodes);
-  EXPECT_EQ(loaded.machine.l2.block_bytes, trace.machine.l2.block_bytes);
-  EXPECT_EQ(loaded.machine.protocol.default_tagged, true);
-  EXPECT_EQ(loaded.machine.protocol.tag_hysteresis, 2);
-  EXPECT_EQ(loaded.machine.protocol.keep_tag_on_lone_write, true);
-  EXPECT_EQ(loaded.machine.directory_scheme, DirectoryKind::kLimitedPtr);
-  EXPECT_EQ(loaded.machine.directory_pointers, 2);
-  EXPECT_EQ(loaded.machine.directory_region, 3);
-  EXPECT_EQ(loaded.machine.directory_entries, 7u);
-  EXPECT_EQ(loaded.machine.interconnect, InterconnectKind::kBus);
-  EXPECT_EQ(loaded.machine.bus_arbitration, BusArbitration::kRoundRobin);
+  EXPECT_TRUE(loaded.machine == trace.machine) << ss.str();
   EXPECT_EQ(loaded.accesses, trace.accesses);
+}
+
+// The four checked-in repros are version 1 and stay so. Each must load
+// to the machine and accesses it loaded to before the v2 format, and
+// survive a save in v2.
+TEST(ReproFormat, CheckedInVersion1ReprosLoadAsBefore) {
+  struct Expected {
+    const char* file;
+    MachineConfig machine;
+    std::vector<std::string> accesses;
+  };
+  const auto machine = [](ProtocolKind kind, int nodes) {
+    MachineConfig m;
+    m.protocol.kind = kind;
+    m.num_nodes = nodes;
+    m.l1 = CacheConfig{32, 1, 16};
+    m.l2 = CacheConfig{64, 1, 16};
+    return m;
+  };
+  MachineConfig dragon = machine(ProtocolKind::kLsDragon, 2);
+  dragon.protocol.tag_hysteresis = 2;
+  dragon.directory_scheme = DirectoryKind::kLimitedPtr;
+  dragon.directory_pointers = 1;
+  const Expected expected[] = {
+      {"detag-on-foreign-read.repro",
+       machine(ProtocolKind::kLs, 2),
+       {"access 0 R 0x0 8 0x0", "access 0 W 0x0 8 0xa1",
+        "access 1 R 0x0 8 0x0", "access 0 R 0x0 8 0x0"}},
+      {"dragon-update-propagation.repro",
+       dragon,
+       {"access 0 R 0x80 8 0x0", "access 1 R 0x88 8 0x0",
+        "access 0 R 0xc8 8 0x0", "access 1 W 0x88 8 0xd1"}},
+      {"lsad-upgrade-fallback.repro",
+       machine(ProtocolKind::kLsAd, 2),
+       {"access 0 W 0x0 8 0xd4", "access 1 R 0x0 8 0x0",
+        "access 1 W 0x0 8 0xe5", "access 0 R 0x0 8 0x0",
+        "access 0 W 0x8 8 0xf6", "access 1 R 0x0 8 0x0"}},
+      {"notls-race.repro",
+       machine(ProtocolKind::kLs, 3),
+       {"access 0 R 0x0 8 0x0", "access 0 W 0x0 8 0xb2",
+        "access 1 R 0x0 8 0x0", "access 1 R 0x40 8 0x0",
+        "access 2 W 0x0 8 0xc3", "access 1 R 0x0 8 0x0"}},
+  };
+  for (const Expected& e : expected) {
+    const ReproTrace trace = load_repro_file(repro_path(e.file));
+    EXPECT_TRUE(trace.machine == e.machine) << e.file;
+    std::vector<std::string> accesses;
+    for (const ReproAccess& access : trace.accesses) {
+      accesses.push_back(to_string(access));
+    }
+    EXPECT_EQ(accesses, e.accesses) << e.file;
+
+    std::stringstream v2;
+    save_repro(v2, trace);
+    EXPECT_EQ(v2.str().rfind("lssim-repro v2\n", 0), 0u);
+    const ReproTrace again = load_repro(v2);
+    EXPECT_TRUE(again.machine == trace.machine) << e.file;
+    EXPECT_EQ(again.accesses, trace.accesses) << e.file;
+  }
 }
 
 TEST(ReproFormat, MalformedInputsFailWithLineNumbers) {

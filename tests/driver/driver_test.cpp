@@ -179,6 +179,48 @@ TEST(DriverOptions, RegisteredInterconnectNamesMatchTable) {
   EXPECT_EQ(kInterconnectNames.joined(" | "), "network | bus");
 }
 
+// The manifest records options.machine, so its protocol must be one
+// that ran: the first of --protocol, --protocols or --compare.
+TEST(DriverOptions, ProtocolFlagsSetTheMachineProtocol) {
+  DriverOptions single;
+  std::string error;
+  ASSERT_TRUE(parse({"--protocol", "ls"}, &single, &error)) << error;
+  EXPECT_EQ(single.machine.protocol.kind, ProtocolKind::kLs);
+  DriverOptions list;
+  ASSERT_TRUE(parse({"--protocols", "ad,ls"}, &list, &error)) << error;
+  EXPECT_EQ(list.machine.protocol.kind, ProtocolKind::kAd);
+  DriverOptions compare;
+  ASSERT_TRUE(parse({"--protocol", "ls", "--compare"}, &compare, &error))
+      << error;
+  EXPECT_EQ(compare.machine.protocol.kind, compare.protocols.front());
+}
+
+// Machine flags are checked against their field's range before they
+// narrow: 5g no longer runs a 1 GiB L1, 2^32 + 1 entries no longer run a
+// 1-entry directory.
+TEST(DriverOptions, MachineFlagsRejectValuesTheirFieldCannotHold) {
+  const char* const bad[][2] = {
+      {"--l1", "5g"},          {"--l2", "6g"},
+      {"--block", "512"},      {"--block", "0"},
+      {"--assoc", "4294967296"}, {"--dir-entries", "4294967297"},
+      {"--dir-region", "257"}, {"--procs", "0"},
+      {"--l1", "99999999999999999999g"},
+  };
+  for (const auto& [flag, value] : bad) {
+    DriverOptions options;
+    std::string error;
+    EXPECT_FALSE(parse({flag, value}, &options, &error)) << flag << value;
+    EXPECT_NE(error.find(flag), std::string::npos) << error;
+  }
+  DriverOptions options;
+  std::string error;
+  ASSERT_TRUE(parse({"--dir-entries", "4294967295", "--l1", "2g"}, &options,
+                    &error))
+      << error;
+  EXPECT_EQ(options.machine.directory_entries, 4294967295u);
+  EXPECT_EQ(options.machine.l1.size_bytes, 2u * 1024 * 1024 * 1024);
+}
+
 TEST(DriverOptions, DirectoryKnobsValidateTheirRanges) {
   DriverOptions options;
   std::string error;

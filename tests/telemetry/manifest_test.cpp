@@ -57,14 +57,7 @@ TEST(ManifestTest, RoundTripPreservesEveryField) {
   EXPECT_EQ(back.seed, 99u);
   EXPECT_EQ(back.params.at("txns_per_proc"), "500");
   EXPECT_EQ(back.params.at("hot_accounts"), "16");
-  EXPECT_EQ(back.machine.num_nodes, 8);
-  EXPECT_EQ(back.machine.protocol.kind, ProtocolKind::kLsAd);
-  EXPECT_EQ(back.machine.topology, Topology::kRing);
-  EXPECT_EQ(back.machine.consistency, ConsistencyModel::kPc);
-  EXPECT_EQ(back.machine.l1.size_bytes, 8192u);
-  EXPECT_TRUE(back.machine.classify_false_sharing);
-  EXPECT_EQ(back.machine.interconnect, InterconnectKind::kBus);
-  EXPECT_EQ(back.machine.bus_arbitration, BusArbitration::kRoundRobin);
+  EXPECT_TRUE(back.machine == manifest.machine);
   EXPECT_DOUBLE_EQ(back.wall_seconds, 1.5);
 
   ASSERT_EQ(back.runs.size(), 1u);
@@ -138,6 +131,35 @@ TEST(ManifestTest, RejectsMachineValuesThatOverflowTheirField) {
     EXPECT_FALSE(manifest_from_text(text, &back, &error)) << machine;
     EXPECT_NE(error.find(field), std::string::npos) << error;
   }
+}
+
+// A machine object as schema 3 wrote it before it carried every field:
+// the organisation's knob and bus arbitration only where they applied,
+// no latencies, protocol knobs, word size, write buffer or watchdog.
+TEST(ManifestTest, SchemaThreeMachineObjectsStillParse) {
+  const char* text = R"({"schema_version": 3, "runs": [], "machine": {
+      "protocol": "LS", "num_nodes": 8, "page_bytes": 4096,
+      "l1": {"size_bytes": 8192, "assoc": 2, "block_bytes": 32},
+      "l2": {"size_bytes": 65536, "assoc": 1, "block_bytes": 32},
+      "topology": "ring", "consistency": "PC", "directory": "limited-ptr",
+      "directory_pointers": 2, "interconnect": "bus",
+      "bus_arbitration": "round-robin", "classify_false_sharing": true}})";
+  RunManifest back;
+  std::string error;
+  ASSERT_TRUE(manifest_from_text(text, &back, &error)) << error;
+  MachineConfig expected;
+  expected.protocol.kind = ProtocolKind::kLs;
+  expected.num_nodes = 8;
+  expected.l1 = CacheConfig{8192, 2, 32};
+  expected.l2 = CacheConfig{65536, 1, 32};
+  expected.topology = Topology::kRing;
+  expected.consistency = ConsistencyModel::kPc;
+  expected.directory_scheme = DirectoryKind::kLimitedPtr;
+  expected.directory_pointers = 2;
+  expected.interconnect = InterconnectKind::kBus;
+  expected.bus_arbitration = BusArbitration::kRoundRobin;
+  expected.classify_false_sharing = true;
+  EXPECT_TRUE(back.machine == expected);
 }
 
 TEST(ManifestTest, MachineNamesAcceptAliasesCaseInsensitively) {
