@@ -2,7 +2,7 @@
 // simulator's hot paths — cache lookup, directory access, full protocol
 // transactions, network sends, the coroutine scheduler, nested-task
 // calls, machine construction and barrier spin episodes — of the bulk
-// telemetry exporters and of the trace file codec.
+// telemetry exporters, of the trace file codec and of trace replay.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -422,5 +422,47 @@ void BM_TraceLoad(benchmark::State& state) {
                           static_cast<std::int64_t>(size));
 }
 BENCHMARK(BM_TraceLoad)->Unit(benchmark::kMillisecond);
+
+SimTask<void> lock_handoffs(System& sys, NodeId id, SpinLock lock,
+                            Addr counter, int rounds) {
+  Processor& proc = sys.proc(id);
+  for (int r = 0; r < rounds; ++r) {
+    co_await lock.acquire(proc);
+    const std::uint64_t value = co_await proc.read(counter);
+    co_await proc.write(counter, value + 1);
+    proc.compute(1000);
+    co_await lock.release(proc);
+    proc.compute(50);
+  }
+}
+
+void BM_ReplaySpinRun(benchmark::State& state) {
+  // Trace replay of 8 nodes handing one SpinLock around, under LS: about
+  // two thirds of the records are the waiters' test-loop probes, whose
+  // runs replay accounts in bulk until the holder's release wakes them
+  // (spin parking). Capture and engine construction are untimed; reports
+  // host time per replayed access.
+  constexpr int kNodes = 8;
+  const MachineConfig cfg =
+      MachineConfig::scientific_default(ProtocolKind::kLs, kNodes);
+  const CapturedTrace captured = capture_trace(cfg, [](System& sys) {
+    const SpinLock lock(sys.heap());
+    const Addr counter = sys.heap().alloc(8, 64);
+    for (int n = 0; n < sys.num_procs(); ++n) {
+      const auto id = static_cast<NodeId>(n);
+      sys.spawn(id, lock_handoffs(sys, id, lock, counter, 40));
+    }
+  });
+  const ReplayCompareEngine engine(captured.trace, cfg);
+  double accesses = 0;
+  for (auto _ : state) {
+    const RunResult replayed = engine.replay(ProtocolKind::kLs);
+    benchmark::DoNotOptimize(replayed.exec_time);
+    accesses += static_cast<double>(replayed.accesses);
+  }
+  state.counters["per_access"] = benchmark::Counter(
+      accesses, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ReplaySpinRun)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -812,4 +812,17 @@ bool MemorySystem::park(NodeId node, Addr addr) {
   return true;
 }
 
+void MemorySystem::account_l1_read_hits(NodeId node, Addr addr,
+                                        std::uint64_t reads,
+                                        Cycles gaps) noexcept {
+  if (reads == 0) {
+    return;  // A touch would still re-stamp the line.
+  }
+  stats_.accesses += reads;
+  stats_.l1_hits += reads;
+  stats_.per_proc[node].busy += gaps + reads * lat_.l1_access;
+  CacheHierarchy& ch = caches_[node];
+  ch.l1().touch(ch.l2().block_of(addr), reads);
+}
+
 }  // namespace lssim

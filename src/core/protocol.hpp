@@ -19,6 +19,7 @@
 // 220 (2-hop clean) or 420 (4-hop read-on-dirty) cycles.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -107,6 +108,21 @@ class MemorySystem {
   /// classifications for lines still resident.
   void finalize();
 
+  /// Blocks the directory and oracle tables hold, and a pre-size of both
+  /// for `blocks` blocks so they never regrow below it (trace replay
+  /// passes what an earlier cell reached). Neither layout is observable,
+  /// except a bounded (sparse) directory's, which picks eviction victims:
+  /// that one keeps the reserve it made at construction.
+  [[nodiscard]] std::size_t table_blocks() const noexcept {
+    return std::max(dir_.size(), oracle_.size());
+  }
+  void reserve_tables(std::size_t blocks) {
+    if (dir_entry_limit_ == 0) {
+      dir_.reserve(blocks);
+    }
+    oracle_.reserve(blocks);
+  }
+
   // ---- spin parking (machine/system.hpp) ------------------------------
   /// True when an L1 read hit only counts: fast hit path live (classifier
   /// off, direct-mapped L2), passive policy, no checker.
@@ -123,6 +139,14 @@ class MemorySystem {
   [[nodiscard]] std::uint32_t parked() const noexcept { return parked_count_; }
   /// Nodes woken (and no longer watched) since the caller last cleared it.
   [[nodiscard]] std::vector<NodeId>& woken() noexcept { return woken_; }
+  /// Counts `reads` L1 read hits of `addr` by `node` without issuing
+  /// them, as access() would, with `gaps` cycles of compute between
+  /// them: accesses, L1 hits, busy time (the gaps plus l1_access per
+  /// read) and one LRU touch. The one bulk rule of spin parking, for
+  /// System::unpark and trace replay; the copy must have stayed in L1
+  /// (parked and not woken).
+  void account_l1_read_hits(NodeId node, Addr addr, std::uint64_t reads,
+                            Cycles gaps) noexcept;
 
   [[nodiscard]] const MachineConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] LoadStoreOracle& oracle() noexcept { return oracle_; }

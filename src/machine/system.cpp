@@ -189,33 +189,30 @@ void System::run() {
 void System::unpark(Processor& proc, Cycles bound) {
   memory_.unpark(proc.id_);
   proc.parked_ = false;
-  // Each probe is an L1 read hit (busy for its whole latency) followed by
-  // the spin gap; fixed gaps in closed form, drawn gaps one by one.
+  // Each probe is an L1 read hit followed by the spin gap; fixed gaps in
+  // closed form, drawn gaps one by one.
   const Cycles l1 = cfg_.latency.l1_access;
   std::uint64_t probes = 0;
+  Cycles gaps = 0;
   if (proc.spin_gap_lo_ == proc.spin_gap_hi_) {
     if (proc.time_ < bound) {
       const Cycles period = l1 + proc.spin_gap_lo_;
       probes = (bound - proc.time_ + period - 1) / period;
-      proc.time_ += probes * period;
-      proc.busy_ += probes * proc.spin_gap_lo_;
+      gaps = probes * proc.spin_gap_lo_;
     }
   } else {
-    for (; proc.time_ < bound; ++probes) {
-      proc.time_ += l1;
-      proc.compute(proc.spin_gap());
+    for (Cycles t = proc.time_; t < bound; ++probes) {
+      const Cycles gap = proc.spin_gap();
+      gaps += gap;
+      t += l1 + gap;
     }
   }
   if (probes == 0) {
     return;
   }
-  // As access() would count them; each probe stamps the L1 line's LRU.
+  proc.time_ += probes * l1 + gaps;
   bulk_probes_ += probes;
-  stats_.accesses += probes;
-  stats_.l1_hits += probes;
-  CacheHierarchy& ch = memory_.cache(proc.id_);
-  ch.l1().touch(ch.l2().block_of(proc.pending_.addr), probes);
-  stats_.per_proc[proc.id_].busy += probes * l1;
+  memory_.account_l1_read_hits(proc.id_, proc.pending_.addr, probes, gaps);
   if (MetricsRegistry* m = telemetry_.metrics()) {
     m->add(node_accesses_[proc.id_], probes);
     m->observe(read_latency_h_, l1, probes);

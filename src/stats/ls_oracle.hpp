@@ -109,6 +109,13 @@ class LoadStoreOracle {
     st.pending_reader = kInvalidNode;
   }
 
+  /// Blocks tracked so far, and a pre-size for `blocks` of them (a no-op
+  /// while disabled, when nothing is ever tracked).
+  [[nodiscard]] std::size_t size() const noexcept { return blocks_.size(); }
+  void reserve(std::size_t blocks) {
+    if (enabled_) blocks_.reserve(blocks);
+  }
+
   [[nodiscard]] const LsOracleCounters& counters(StreamTag tag) const {
     return per_tag_[static_cast<std::size_t>(tag)];
   }

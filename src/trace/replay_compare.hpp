@@ -22,6 +22,7 @@
 // docs/PERFORMANCE.md "Capture once, replay many").
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -69,7 +70,8 @@ class TraceConfigMismatch : public std::runtime_error {
 /// at construction) is shared read-only across replays, so
 /// replay_matrix() can fan cells out across host threads with zero
 /// workload re-execution — each cell builds only its own MemorySystem
-/// and Stats, per the executor's ownership rule.
+/// and Stats, per the executor's ownership rule. The one thing cells
+/// share is a relaxed atomic table-size hint, which no result depends on.
 ///
 /// The referenced Trace must outlive the engine.
 class ReplayCompareEngine {
@@ -103,10 +105,23 @@ class ReplayCompareEngine {
 
   /// Low-level single replay: accumulates into the caller's Stats and
   /// (optionally) reports the summed per-node completion clocks —
-  /// replay_trace()'s historical total_cycles. Used by that wrapper;
+  /// replay_trace()'s historical total_cycles — and how many records
+  /// were accounted in bulk (spin parking, below). Used by that wrapper;
   /// prefer replay()/replay_config().
+  ///
+  /// Spin parking: a run of repeated reads (a record that repeats its
+  /// node's previous read: same address, size, site and tag) after an L1
+  /// read hit is not replayed record by record when the machine is
+  /// spin-parking eligible (MemorySystem::spin_parking_eligible). The
+  /// node parks on the block and waits in the issue order at the run's
+  /// last read. If it wins there, every read of the run was an L1 hit
+  /// and is accounted in one step; if another node's transaction changes
+  /// its copy first, only the reads that issued before that transaction
+  /// (the live tie rule) are, and the rest replay one at a time. Results
+  /// are bit-identical to replaying every record.
   RunResult replay_collect(const MachineConfig& config, Stats& stats,
-                           Cycles* total_cycles = nullptr) const;
+                           Cycles* total_cycles = nullptr,
+                           std::uint64_t* bulk_reads = nullptr) const;
 
   [[nodiscard]] const MachineConfig& base_config() const noexcept {
     return base_;
@@ -129,13 +144,22 @@ class ReplayCompareEngine {
     MemOpKind op = MemOpKind::kRead;
     StreamTag tag = StreamTag::kApp;
     std::uint8_t size = 0;
+    /// A read repeating its node's previous record (address, size, site,
+    /// tag): a candidate for bulk accounting.
+    bool repeat = false;
   };
+  static_assert(sizeof(DecodedAccess) == 24);
 
   const Trace* trace_;
   MachineConfig base_;
   /// Per-node program-order access streams — precomputed once, shared
   /// read-only by every replay.
   std::vector<std::vector<DecodedAccess>> streams_;
+  /// Largest directory/oracle population a finished cell reached: later
+  /// cells pre-size their tables to it instead of regrowing from 256
+  /// slots. Cells may run on several threads; a lost update only loses a
+  /// hint, and table size never changes a result.
+  mutable std::atomic<std::size_t> table_blocks_{0};
 };
 
 /// Field-by-field comparison of an executed run against its replay: one

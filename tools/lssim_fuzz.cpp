@@ -13,17 +13,20 @@
 //
 // Exit codes: 0 no violations (selftest: bug caught), 1 violations found
 // (selftest: bug missed), 2 usage error, 3 output I/O failure.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "check/explorer.hpp"
 #include "check/fuzzer.hpp"
+#include "driver/options.hpp"
 #include "exec/heartbeat.hpp"
 
 namespace {
@@ -62,16 +65,21 @@ constexpr const char* kUsage =
   std::exit(2);
 }
 
-std::uint64_t parse_u64(const std::string& flag, const std::string& text) {
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t value = std::stoull(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument(text);
-    return value;
-  } catch (const std::exception&) {
-    usage_error("bad value for " + flag + ": '" + text + "'");
+/// `text` as a whole number in [lo, hi] (no sign on unsigned flags, no
+/// junk, no wrap or narrowing), else a usage error naming `flag`.
+template <typename T>
+T parse_flag(const std::string& flag, const std::string& text, T lo, T hi) {
+  T value{};
+  if (!parse_whole(text, &value) || value < lo || value > hi) {
+    usage_error("bad " + flag + " (expected " + std::to_string(lo) + ".." +
+                std::to_string(hi) + "): '" + text + "'");
   }
+  return value;
 }
+
+constexpr int kIntMax = std::numeric_limits<int>::max();
+/// Each trace is held in memory: a million accesses is tens of MiB.
+constexpr int kMaxTraceLength = 1'000'000;
 
 /// Pulls the value of `flag` out of argv-style `args` when present.
 bool take_value(std::vector<std::string>& args, const std::string& flag,
@@ -151,13 +159,14 @@ int run_fuzz_mode(std::vector<std::string> args) {
   options.iterations = 200;
   std::string value;
   if (take_value(args, "--seed", &value)) {
-    options.seed = parse_u64("--seed", value);
+    options.seed = parse_flag<std::uint64_t>(
+        "--seed", value, 0, std::numeric_limits<std::uint64_t>::max());
   }
   if (take_value(args, "--iterations", &value)) {
-    options.iterations = static_cast<int>(parse_u64("--iterations", value));
+    options.iterations = parse_flag("--iterations", value, 1, kIntMax);
   }
   if (take_value(args, "--length", &value)) {
-    options.trace_length = static_cast<int>(parse_u64("--length", value));
+    options.trace_length = parse_flag("--length", value, 1, kMaxTraceLength);
   }
   options.protocols = parse_protocols(args);
   options.compare_protocols = take_switch(args, "--compare");
@@ -168,14 +177,10 @@ int run_fuzz_mode(std::vector<std::string> args) {
   take_value(args, "--heartbeat-out", &heartbeat_out);
   double heartbeat_interval = 10.0;
   if (take_value(args, "--heartbeat-interval", &value)) {
-    try {
-      std::size_t pos = 0;
-      heartbeat_interval = std::stod(value, &pos);
-      if (pos != value.size() || heartbeat_interval < 0.0) {
-        throw std::invalid_argument(value);
-      }
-    } catch (const std::exception&) {
-      usage_error("bad value for --heartbeat-interval: '" + value + "'");
+    if (!parse_whole(value, &heartbeat_interval) ||
+        !std::isfinite(heartbeat_interval) || heartbeat_interval < 0.0) {
+      usage_error("bad --heartbeat-interval (expected seconds >= 0): '" +
+                  value + "'");
     }
   }
   if (!args.empty()) usage_error("unknown argument '" + args[0] + "'");
@@ -213,21 +218,14 @@ int run_explore_mode(std::vector<std::string> args) {
   std::string value;
   int nodes = 2;
   if (take_value(args, "--nodes", &value)) {
-    nodes = static_cast<int>(parse_u64("--nodes", value));
-    if (nodes < 2 || nodes > 4) usage_error("--nodes must be 2..4");
+    nodes = parse_flag("--nodes", value, 2, 4);
   }
   options.machine = tiny_machine(nodes);
   if (take_value(args, "--blocks", &value)) {
-    options.num_blocks = static_cast<int>(parse_u64("--blocks", value));
-    if (options.num_blocks < 1 || options.num_blocks > 2) {
-      usage_error("--blocks must be 1..2");
-    }
+    options.num_blocks = parse_flag("--blocks", value, 1, 2);
   }
   if (take_value(args, "--depth", &value)) {
-    options.depth = static_cast<int>(parse_u64("--depth", value));
-    if (options.depth < 1 || options.depth > 8) {
-      usage_error("--depth must be 1..8");
-    }
+    options.depth = parse_flag("--depth", value, 1, 8);
   }
   options.protocols = parse_protocols(args);
   std::string out_dir;
