@@ -1,8 +1,9 @@
 // Core-structure microbenchmarks (google-benchmark): throughput of the
 // simulator's hot paths — cache lookup, directory access, full protocol
 // transactions, network sends, the coroutine scheduler, nested-task
-// calls, machine construction and barrier spin episodes — of the bulk
-// telemetry exporters, of the trace file codec and of trace replay.
+// calls, machine construction, barrier spin episodes and simulated
+// memory's data path — of the bulk telemetry exporters, of the trace file
+// codec and of trace replay.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include <streambuf>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "lssim.hpp"
 #include "telemetry/audit.hpp"
@@ -260,6 +262,44 @@ BENCHMARK(BM_BarrierEpisode)
     ->Arg(64)
     ->Arg(128)
     ->Unit(benchmark::kMillisecond);
+
+// Simulated memory's data path: 8-byte stores to `words`, then loads of
+// the same words, starting from an empty space each iteration so chunk
+// materialisation and table growth are timed too. Reports host time per
+// access.
+void run_address_space(benchmark::State& state,
+                       const std::vector<Addr>& words) {
+  for (auto _ : state) {
+    AddressSpace space(4, 4096);
+    for (const Addr a : words) space.store(a, 8, a);
+    std::uint64_t sum = 0;
+    for (const Addr a : words) sum += space.load(a, 8);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.counters["per_access"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * 2.0 *
+          static_cast<double>(words.size()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void BM_AddressSpaceSparse(benchmark::State& state) {
+  // OLTP's account table: random words over a 16 MiB span at the global
+  // arena, most of them in a chunk of their own.
+  constexpr Addr kArena = Addr{1} << 40;
+  std::vector<Addr> words(1 << 16);
+  Rng rng(1);
+  for (Addr& a : words) a = kArena + rng.next_below(Addr{16} << 20) / 8 * 8;
+  run_address_space(state, words);
+}
+BENCHMARK(BM_AddressSpaceSparse)->Unit(benchmark::kMillisecond);
+
+void BM_AddressSpaceDense(benchmark::State& state) {
+  // LU's matrix: every word of a 512 KiB span, in order.
+  std::vector<Addr> words(Addr{512} << 10 >> 3);
+  for (std::size_t i = 0; i < words.size(); ++i) words[i] = Addr{8} * i;
+  run_address_space(state, words);
+}
+BENCHMARK(BM_AddressSpaceDense)->Unit(benchmark::kMillisecond);
 
 void BM_WordMask(benchmark::State& state) {
   Addr addr = 0;

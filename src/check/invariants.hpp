@@ -147,7 +147,7 @@ class InvariantChecker {
   std::uint64_t total_violations_ = 0;
   std::vector<Violation> violations_;
   /// Reference memory, byte-granular. Bytes never stored read as zero,
-  /// matching AddressSpace's lazily-zeroed pages.
+  /// matching AddressSpace's lazily materialised chunks.
   std::unordered_map<Addr, std::uint8_t> shadow_;
   /// Post-access block snapshots (pre-state for the next access).
   std::unordered_map<Addr, BlockSnapshot> blocks_;

@@ -239,7 +239,7 @@ class CoherencePolicy {
     }
     SharerSet others = directory_->believed_sharers(entry);
     others.reset(writer);
-    return others.count() == 1 && others.test(entry.last_writer);
+    return others.is_only(entry.last_writer);
   }
 
   const DirectoryPolicy* directory_ = nullptr;

@@ -2,12 +2,28 @@
 
 #include <algorithm>
 #include <cassert>
+#include <sstream>
+#include <stdexcept>
 
 #include "check/invariants.hpp"
 #include "core/directory_registry.hpp"
 #include "core/protocol_registry.hpp"
 
 namespace lssim {
+namespace {
+
+// Checked in all build types, like Network::send's self-send: an access
+// the address space cannot hold would otherwise straddle two storage
+// chunks and corrupt the neighbouring one.
+[[noreturn]] void reject_unaligned(NodeId node, const AccessRequest& req) {
+  std::ostringstream os;
+  os << "MemorySystem::access: node " << int{node} << " accesses "
+     << req.size << " bytes at 0x" << std::hex << req.addr << std::dec
+     << "; accesses must be 1, 2, 4 or 8 bytes at a multiple of their size";
+  throw std::logic_error(os.str());
+}
+
+}  // namespace
 
 MemorySystem::MemorySystem(const MachineConfig& config, AddressSpace& space,
                            Stats& stats, Telemetry* telemetry,
@@ -648,6 +664,9 @@ Cycles MemorySystem::do_write_global(NodeId node, Addr block, Cycles now,
 AccessResult MemorySystem::access(NodeId node, const AccessRequest& req,
                                   Cycles now) {
   assert(node < caches_.size());
+  if (!AddressSpace::aligned(req.addr, req.size)) [[unlikely]] {
+    reject_unaligned(node, req);
+  }
   stats_.accesses += 1;
 
   CacheHierarchy& ch = caches_[node];

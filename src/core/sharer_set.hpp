@@ -59,10 +59,26 @@ class SharerSet {
     return (words_[node >> 6] >> (node & 63)) & 1u;
   }
 
+  /// Skips empty words: without a popcount instruction in the target,
+  /// each std::popcount is a library call, and machines of up to 64
+  /// nodes only ever fill the first word.
   [[nodiscard]] constexpr int count() const noexcept {
     int n = 0;
-    for (const std::uint64_t w : words_) n += std::popcount(w);
+    for (const std::uint64_t w : words_) {
+      if (w != 0) n += std::popcount(w);
+    }
     return n;
+  }
+  /// True when `node` is the only member (count() == 1 && test(node),
+  /// without counting).
+  [[nodiscard]] constexpr bool is_only(NodeId node) const noexcept {
+    assert(node < kMaxNodes);
+    for (int w = 0; w < kWords; ++w) {
+      const std::uint64_t want =
+          w == (node >> 6) ? std::uint64_t{1} << (node & 63) : 0;
+      if (words_[w] != want) return false;
+    }
+    return true;
   }
   [[nodiscard]] constexpr bool empty() const noexcept {
     return (words_[0] | words_[1] | words_[2] | words_[3]) == 0;

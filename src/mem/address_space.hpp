@@ -1,28 +1,34 @@
 // Simulated physical address space.
 //
-// Backing storage is allocated lazily page-by-page; pages are assigned
-// home nodes round-robin (paper §4.2: "physical memory pages are
-// distributed in round-robin fashion among the nodes").
+// Pages are assigned home nodes round-robin (paper §4.2: "physical memory
+// pages are distributed in round-robin fashion among the nodes"). The
+// page size sets only that placement: data is stored in 64-byte chunks,
+// materialised on the first store to them, in the flat block table the
+// directory and the load-store oracle use. A workload that touches one
+// word in each of many pages (OLTP's account table) then costs a chunk
+// per word, not a page. A load of an untouched chunk reads zero and
+// materialises nothing.
 //
-// Accesses are strongly page-local (a workload touches the same stack /
-// array page many times in a row), so both load and store consult a
-// one-entry last-page cache before the page map. Page storage is heap
-// blocks owned by unique_ptr, so the cached pointer stays valid across
-// map rehashes; the map never erases.
+// Accesses are naturally aligned 1, 2, 4 or 8 bytes (aligned()), so none
+// crosses a chunk; MemorySystem::access rejects any other access before
+// it gets here.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 
+#include "sim/block_table.hpp"
 #include "sim/types.hpp"
 
 namespace lssim {
 
 class AddressSpace {
  public:
+  /// Storage grain, in bytes.
+  static constexpr Addr kChunkBytes = 64;
+
   AddressSpace(int num_nodes, std::uint32_t page_bytes);
 
   /// Home node of the page containing `addr`.
@@ -31,9 +37,17 @@ class AddressSpace {
                                static_cast<Addr>(num_nodes_));
   }
 
-  /// Loads `size` bytes (1, 2, 4 or 8; must not cross a page boundary)
-  /// as a little-endian integer. Untouched memory reads as zero.
-  [[nodiscard]] std::uint64_t load(Addr addr, unsigned size) const;
+  /// True for the accesses memory holds: 1, 2, 4 or 8 bytes at a
+  /// multiple of the size (so none crosses a chunk).
+  [[nodiscard]] static constexpr bool aligned(Addr addr,
+                                              unsigned size) noexcept {
+    return (size == 1 || size == 2 || size == 4 || size == 8) &&
+           (addr & (size - 1)) == 0;
+  }
+
+  /// Loads `size` bytes (1, 2, 4 or 8, at a multiple of `size`) as a
+  /// little-endian integer. Untouched memory reads as zero.
+  [[nodiscard]] std::uint64_t load(Addr addr, unsigned size) const noexcept;
 
   /// Stores the low `size` bytes of `value` at `addr`.
   void store(Addr addr, unsigned size, std::uint64_t value);
@@ -43,28 +57,20 @@ class AddressSpace {
   }
   [[nodiscard]] int num_nodes() const noexcept { return num_nodes_; }
 
-  /// Number of pages materialised so far (for tests / footprint reports).
-  [[nodiscard]] std::size_t resident_pages() const noexcept {
-    return pages_.size();
+  /// Number of chunks materialised so far (for tests / footprint reports).
+  [[nodiscard]] std::size_t resident_chunks() const noexcept {
+    return chunks_.size();
   }
 
  private:
-  [[nodiscard]] std::byte* page_for(Addr addr);
-  [[nodiscard]] const std::byte* page_if_present(Addr addr) const noexcept;
-
-  static constexpr Addr kNoPage = ~Addr{0};
+  using Chunk = std::array<std::byte, kChunkBytes>;
+  static constexpr Addr kOffsetMask = kChunkBytes - 1;
 
   int num_nodes_;
   std::uint32_t page_bytes_;
-  // page_bytes_ is a validated power of two: page and offset math is
-  // shift-and-mask (load/store sit on the simulator's per-access path).
+  // page_bytes_ is a validated power of two: home_of is a shift.
   std::uint32_t page_shift_;
-  Addr offset_mask_;
-  std::unordered_map<Addr, std::unique_ptr<std::byte[]>> pages_;
-  // Last-page cache (mutable: load() is logically const). Only ever
-  // caches a materialised page, so load-after-store stays coherent.
-  mutable Addr last_page_ = kNoPage;
-  mutable std::byte* last_data_ = nullptr;
+  BlockTable<Chunk> chunks_;
 };
 
 }  // namespace lssim

@@ -3,7 +3,7 @@
 // Workload data structures live in the simulated address space so that
 // every access to them goes through the modelled cache hierarchy and
 // coherence protocol. The heap hands out simulated addresses only; actual
-// bytes live in AddressSpace's lazily materialised pages.
+// bytes live in AddressSpace's lazily materialised chunks.
 #pragma once
 
 #include <bit>

@@ -1,12 +1,14 @@
 // Block-keyed open-addressing hash table: the storage under the home
-// directory (core/directory.hpp) and the load-store oracle
-// (stats/ls_oracle.hpp).
+// directory (core/directory.hpp), the load-store oracle
+// (stats/ls_oracle.hpp) and simulated memory's data chunks
+// (mem/address_space.hpp).
 //
-// Both are consulted on every global transaction, so the table is flat
-// rather than std::unordered_map: power-of-two capacity starting at 256
-// slots, a Fibonacci multiply-shift hash, linear probing over one
-// contiguous slot array, growth at 3/4 load, and no tombstones — erase()
-// shifts the rest of the probe chain back instead. A one-entry MRU slot
+// The first two are consulted on every global transaction, the chunks
+// on every access, so the table is flat rather than std::unordered_map:
+// power-of-two capacity starting at 256 slots, a Fibonacci multiply-shift
+// hash, linear probing over one contiguous slot array, growth at 3/4
+// load, and no tombstones — erase() shifts the rest of the probe chain
+// back instead. A one-entry MRU slot
 // short-circuits the common same-block re-access (spin-lock hand-offs,
 // load-store sequences). See docs/PERFORMANCE.md "Block table".
 //

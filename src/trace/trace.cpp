@@ -6,6 +6,7 @@
 #include <istream>
 #include <memory>
 #include <ostream>
+#include <sstream>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -133,6 +134,13 @@ void check_record(const TraceRecord& r, std::uint64_t index) {
               index);
   check_field(r.size == 1 || r.size == 2 || r.size == 4 || r.size == 8,
               "size", r.size, index);
+  if ((r.addr & (r.size - 1u)) != 0) {
+    std::ostringstream os;
+    os << "corrupt lssim trace file: record " << index << " has address 0x"
+       << std::hex << r.addr << std::dec << ", not a multiple of its size "
+       << unsigned{r.size};
+    throw std::runtime_error(os.str());
+  }
   check_field(r.tag < kNumStreamTags, "tag", r.tag, index);
   check_field(r.node < kMaxNodes, "node", r.node, index);
 }

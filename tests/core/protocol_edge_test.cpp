@@ -2,6 +2,9 @@
 // mixed access sizes, long tag/de-tag churn, traffic-class accounting.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "../coherence_check.hpp"
 #include "protocol_test_util.hpp"
 
@@ -54,6 +57,37 @@ TEST(ProtocolEdge, MixedAccessSizesWithinOneBlock) {
   EXPECT_EQ(f.read(1, a + 4, 4).value, 0x11223344u);
   (void)f.write(2, a + 6, 0xBEEF, 2);
   EXPECT_EQ(f.read(3, a, 8).value, 0xBEEF334455667788ull);
+}
+
+/// The message of the logic_error `access` throws, or "" when it
+/// completes.
+std::string access_error(ProtocolFixture& f, NodeId node, Addr addr,
+                         unsigned size, bool write) {
+  try {
+    (void)(write ? f.write(node, addr, 1, size) : f.read(node, addr, size));
+  } catch (const std::logic_error& ex) {
+    return ex.what();
+  }
+  return "";
+}
+
+TEST(ProtocolEdge, MisalignedAccessIsRejectedNamingNodeAddressAndSize) {
+  ProtocolFixture f(ProtocolFixture::tiny(ProtocolKind::kLs));
+  const Addr a = f.on_home(1);
+  EXPECT_EQ(access_error(f, 2, a + 4, 8, /*write=*/true),
+            "MemorySystem::access: node 2 accesses 8 bytes at 0x1004; "
+            "accesses must be 1, 2, 4 or 8 bytes at a multiple of their "
+            "size");
+  EXPECT_NE(access_error(f, 0, a + 2, 4, /*write=*/false), "");
+  EXPECT_NE(access_error(f, 0, a + 1, 2, /*write=*/false), "");
+  // Sizes the memory cannot hold, aligned or not.
+  EXPECT_NE(access_error(f, 0, a, 3, /*write=*/false), "");
+  EXPECT_NE(access_error(f, 0, a, 0, /*write=*/true), "");
+  EXPECT_NE(access_error(f, 0, a, 16, /*write=*/true), "");
+  // Nothing was counted or stored; aligned accesses still work.
+  EXPECT_EQ(f.stats().accesses, 0u);
+  EXPECT_EQ(access_error(f, 0, a + 6, 2, /*write=*/true), "");
+  EXPECT_EQ(f.read(3, a + 6, 2).value, 1u);
 }
 
 TEST(ProtocolEdge, TagDetagChurnStaysConsistent) {

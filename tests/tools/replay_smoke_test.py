@@ -7,7 +7,7 @@ codes:
 
   0 — capture, replay from a matching trace, and a cross-check on a
       feedback-insensitive workload (private-RMW with sync=0)
-  1 — replaying a trace file with an out-of-range record field
+  1 — replaying a trace file with an out-of-range or misaligned record
   2 — replaying a trace on a machine whose protocol-insensitive config
       differs (both config hashes must appear in the diagnostic)
   5 — cross-check divergence on a feedback-sensitive workload
@@ -96,6 +96,15 @@ class ReplaySmokeTest(unittest.TestCase):
         proc = run(*PRIVATE, "--replay-from", self.trace)
         self.assertEqual(proc.returncode, 1, proc.stderr)
         self.assertIn("record 0 has op 200", proc.stderr)
+
+    def test_replay_from_misaligned_trace_exits_1_naming_the_record(self):
+        # A version-1 file with one 8-byte read at 0x44.
+        with open(self.trace, "wb") as f:
+            f.write(b"LSTRACE1" + struct.pack("<Q", 1) +
+                    struct.pack("<QQBBBB", 0x44, 0, 0, 0, 8, 0))
+        proc = run(*PRIVATE, "--replay-from", self.trace)
+        self.assertEqual(proc.returncode, 1, proc.stderr)
+        self.assertIn("record 0 has address 0x44", proc.stderr)
 
 
 if __name__ == "__main__":

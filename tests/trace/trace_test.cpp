@@ -141,6 +141,26 @@ TEST(Trace, LoadRejectsOutOfRangeFieldsNamingFieldAndRecord) {
   EXPECT_EQ(load_error([](TraceRecord&) {}), "");  // In range: loads.
 }
 
+TEST(Trace, LoadRejectsMisalignedRecordNamingIt) {
+  EXPECT_EQ(load_error([](TraceRecord& r) {
+              r.addr = 0x44;
+              r.size = 8;
+            }),
+            "corrupt lssim trace file: record 1 has address 0x44, not a "
+            "multiple of its size 8");
+  EXPECT_EQ(load_error([](TraceRecord& r) {
+              r.addr = 0x41;
+              r.size = 2;
+            }),
+            "corrupt lssim trace file: record 1 has address 0x41, not a "
+            "multiple of its size 2");
+  EXPECT_EQ(load_error([](TraceRecord& r) {
+              r.addr = 0x41;
+              r.size = 1;
+            }),
+            "");
+}
+
 TEST(Trace, ReplayExecutesAllAccesses) {
   const Trace trace = record_pingpong();
   Stats stats(4);

@@ -6,6 +6,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 
 #include "../coherence_check.hpp"
 #include "workloads/harness.hpp"
@@ -131,6 +132,29 @@ TEST(Oltp, FalseSharingClassifierFindsFalseSharing) {
   EXPECT_GT(r.coherence_misses, 0u);
   EXPECT_GT(r.false_sharing_misses, 0u);
   EXPECT_LE(r.false_sharing_misses, r.coherence_misses);
+}
+
+TEST(Oltp, MemoryFootprintIsTheChunksItsStoresTouch) {
+  // The account table spans 16 MiB (1 M accounts x 16 B) and is written
+  // at random, one record per update: storage grows by a 64-byte chunk
+  // per touched record, not a 4 KiB page.
+  const OltpParams params;  // The default 1 M accounts.
+  System sys(MachineConfig::oltp_default(ProtocolKind::kLs));
+  ASSERT_EQ(params.accounts, 1 << 20);
+  std::unordered_set<Addr> chunks;
+  std::unordered_set<Addr> pages;
+  sys.add_access_observer(
+      [&](NodeId, const AccessRequest& req, Cycles, Cycles) {
+        if (req.is_write()) {
+          chunks.insert(req.addr / AddressSpace::kChunkBytes);
+          pages.insert(req.addr / 4096);
+        }
+      });
+  build_oltp(sys, params);
+  sys.run();
+  EXPECT_EQ(sys.space().resident_chunks(), chunks.size());
+  EXPECT_LE(8 * chunks.size() * AddressSpace::kChunkBytes,
+            pages.size() * 4096);
 }
 
 }  // namespace
