@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/protocol_registry.hpp"
+#include "core/tag_rules.hpp"
 #include "exec/heartbeat.hpp"
 #include "sim/rng.hpp"
 
@@ -15,34 +16,16 @@ namespace {
 /// reads keep being granted exclusive copies of a block that is
 /// demonstrably not in a load-store sequence any more. The invariant
 /// checker's LS tag model flags the first such access.
-class SkipDetagLsPolicy final : public CoherencePolicy {
+class SkipDetagLsPolicy final : public TagRulePolicy {
  public:
   explicit SkipDetagLsPolicy(const ProtocolConfig& config)
-      : keep_tag_on_lone_write_(config.keep_tag_on_lone_write) {}
-
-  [[nodiscard]] ProtocolKind kind() const noexcept override {
-    return ProtocolKind::kLs;
-  }
-
-  WriteTagDecision on_global_write(const DirEntry& entry, NodeId writer,
-                                   bool upgrade) override {
-    if (entry.last_reader == writer) {
-      return {TagAction::kTag, false, TagReason::kLsSequence};
-    }
-    if (!upgrade && !keep_tag_on_lone_write_) {
-      return {TagAction::kDetag, true, TagReason::kLoneWrite};
-    }
-    return {};
-  }
+      : TagRulePolicy(ProtocolKind::kLs, config, /*ls=*/true, /*ad=*/false) {}
 
   [[nodiscard]] TagAction on_foreign_access(
       const DirEntry& entry) const override {
     (void)entry;
     return TagAction::kNone;  // The injected bug.
   }
-
- private:
-  bool keep_tag_on_lone_write_;
 };
 
 ReproTrace random_trace(Rng& rng, const FuzzOptions& options,

@@ -4,6 +4,7 @@
 
 #include "cache/hierarchy.hpp"
 #include "core/directory.hpp"
+#include "core/protocol_registry.hpp"
 
 namespace lssim::check {
 namespace {
@@ -108,7 +109,12 @@ void InvariantChecker::verify_block(const MemorySystem& ms, Addr b,
                                     const DirEntry& e) {
   const MachineConfig& cfg = ms.config();
   const int nodes = cfg.num_nodes;
-  const bool baseline = ms.policy().kind() == ProtocolKind::kBaseline;
+  // A protocol without a tag rule never tags; one that also lacks the
+  // Illinois cold-exclusive read never grants an LStemp copy.
+  const ProtocolKind kind = ms.policy().kind();
+  const ProtocolInfo& row = protocol_info(kind);
+  const bool never_tags = !row.has_tag_rule();
+  const bool never_grants = never_tags && !row.base.cold_exclusive;
   const std::uint8_t tag_hyst =
       cfg.protocol.tag_hysteresis == 0 ? 1 : cfg.protocol.tag_hysteresis;
   const std::uint8_t detag_hyst = cfg.protocol.detag_hysteresis == 0
@@ -195,8 +201,9 @@ void InvariantChecker::verify_block(const MemorySystem& ms, Addr b,
                        std::string(to_string(e.state)) + " with owner " +
                        std::to_string(static_cast<int>(e.owner)));
           }
-          if (baseline) {
-            record("ls-tag", "Baseline protocol granted an LStemp copy of " +
+          if (never_grants) {
+            record("ls-tag", std::string(to_string(kind)) +
+                                 " protocol granted an LStemp copy of " +
                                  hex(b) + " to node " + std::to_string(n));
           }
           break;
@@ -314,9 +321,9 @@ void InvariantChecker::verify_block(const MemorySystem& ms, Addr b,
                            " hysteresis counter passed its threshold "
                            "without firing");
     }
-    if (baseline && e.tagged) {
-      record("ls-tag",
-             "Baseline protocol tagged block " + hex(b));
+    if (never_tags && e.tagged) {
+      record("ls-tag", std::string(to_string(kind)) +
+                           " protocol tagged block " + hex(b));
     }
     if (cfg.directory_scheme == DirectoryKind::kFullMap && e.imprecise) {
       record("dir-cache-agreement",
@@ -364,7 +371,7 @@ void InvariantChecker::final_check(const MemorySystem& ms) {
 void InvariantChecker::check_structure(const MemorySystem& ms, NodeId node,
                                        Addr block, bool is_read,
                                        const BlockSnapshot& pre) {
-  const ProtocolKind kind = ms.policy().kind();
+  const ProtocolInfo& row = protocol_info(ms.policy().kind());
   const bool sweep = options_.full_scan_interval != 0 &&
                      accesses_ % options_.full_scan_interval == 0;
   if (sweep) {
@@ -406,14 +413,14 @@ void InvariantChecker::check_structure(const MemorySystem& ms, NodeId node,
   }
   touched_.clear();
 
-  // Exclusive-grant legality (paper §3 rule): data-centric policies may
-  // only grant an LStemp copy of a block that was tagged when the read
-  // reached the home. (ILS grants from requester-side prediction, which
-  // an external observer cannot reconstruct; Baseline is covered by the
-  // never-grants check above.)
-  if (is_read &&
-      (kind == ProtocolKind::kLs || kind == ProtocolKind::kAd ||
-       kind == ProtocolKind::kLsAd)) {
+  // Exclusive-grant legality (paper §3 rule): data-centric tag rules
+  // (LS, AD, LS+AD) over a base without cold-exclusive reads may only
+  // grant an LStemp copy of a block that was tagged when the read reached
+  // the home. (ILS grants from requester-side prediction, which an
+  // external observer cannot reconstruct; rule-less protocols are covered
+  // by the never-grants check above.)
+  const bool data_centric = row.has_tag_rule() && row.rule != TagRule::kIls;
+  if (is_read && data_centric && !row.base.cold_exclusive) {
     const auto post = blocks_.find(block);
     const bool fresh_grant =
         post != blocks_.end() &&
@@ -489,10 +496,10 @@ void InvariantChecker::on_access(const MemorySystem& ms, NodeId node,
     pre = it->second;
   } else {
     // First global touch: a fresh entry starts tagged only under the
-    // §5.5 default-tagged variation (and only for policies that allow
-    // it — the directory applies the same composite rule).
+    // §5.5 default-tagged variation (and only for protocols with a tag
+    // rule — the directory applies the same composite rule).
     pre.tagged = ms.config().protocol.default_tagged &&
-                 ms.policy().supports_default_tagged();
+                 protocol_info(ms.policy().kind()).has_tag_rule();
   }
 
   check_structure(ms, node, block, !req.is_write(), pre);

@@ -5,11 +5,17 @@
 // tagged blocks return exclusive copies; the transaction mechanics —
 // message legs, directory state machine, invalidation fan-out, latency
 // composition — are shared. MemorySystem (core/protocol.cpp) implements
-// exactly those shared mechanics and delegates every policy decision to
-// a CoherencePolicy through the hooks below. Implementations live under
-// src/core/policies/ and are constructed by the protocol registry
-// (core/protocol_registry.hpp); adding a protocol means writing one
-// policy class and registering it — the engine never changes.
+// exactly those shared mechanics and delegates every tag decision to a
+// CoherencePolicy through the hooks below.
+//
+// A protocol is one row of the protocol registry
+// (core/protocol_registry.hpp): a tag rule over a base protocol. The
+// base (Illinois cold-exclusive reads, owner-keeps dirty reads, Dragon
+// write-update) is three facts the engine reads once at construction;
+// the tag rule picks the policy. This class alone, which tags nothing,
+// is the policy of every protocol without a tag rule (Baseline, MESI,
+// MOESI, Dragon); core/tag_rules.hpp holds the LS/AD rules and ILS's
+// predictor. It stays subclassable for fault injection (check/).
 //
 // Hook contract (docs/PROTOCOL.md "Adding a protocol" has the prose):
 //   * Hooks return *decisions* (TagAction / WriteTagDecision / bool); the
@@ -20,8 +26,7 @@
 //     order: observe_access (every access, before the cache probe) →
 //     read_grants_exclusive / on_global_write (miss classification) →
 //     on_upgrade_invalidations / on_foreign_access (remote effects) →
-//     on_victim_writeback (replacement). A policy that returns the
-//     defaults everywhere is exactly the Baseline protocol.
+//     on_victim_writeback (replacement).
 //   * Per-node predictor state (ILS's confidence tables) is owned by the
 //     policy, not the engine; ils_predictor() exposes it to tests.
 #pragma once
@@ -70,16 +75,6 @@ enum class TagReason : std::uint8_t {
   return "?";
 }
 
-/// How the home resolves a read miss on a kDirty block
-/// (CoherencePolicy::on_dirty_read).
-///   kWriteback  — the owner writes the block back and downgrades to
-///                 Shared; home memory becomes clean (MESI-family and
-///                 the paper's baseline machine).
-///   kOwnerKeeps — the owner supplies the data cache-to-cache and keeps
-///                 the dirty block in Owned; home memory stays stale
-///                 (MOESI / Dragon).
-enum class DirtyReadResolution : std::uint8_t { kWriteback, kOwnerKeeps };
-
 /// Decision returned by CoherencePolicy::on_global_write.
 struct WriteTagDecision {
   TagAction action = TagAction::kNone;
@@ -94,16 +89,12 @@ struct WriteTagDecision {
 
 class CoherencePolicy {
  public:
+  explicit CoherencePolicy(ProtocolKind kind) noexcept : kind_(kind) {}
   virtual ~CoherencePolicy() = default;
 
-  [[nodiscard]] virtual ProtocolKind kind() const noexcept = 0;
-
-  /// Whether the §5.5 `default_tagged` knob applies: may every directory
-  /// entry start out tagged? Baseline (which never grants exclusive
-  /// reads) returns false.
-  [[nodiscard]] virtual bool supports_default_tagged() const noexcept {
-    return true;
-  }
+  /// The registry row this policy implements; the engine reads the
+  /// row's base-protocol facts through it.
+  [[nodiscard]] ProtocolKind kind() const noexcept { return kind_; }
 
   /// True when the policy needs observe_access() on every access (hits
   /// included). The engine caches this once so passive policies keep the
@@ -128,7 +119,7 @@ class CoherencePolicy {
   /// Classifies a read miss at the home: should the reply carry an
   /// exclusive (LStemp) copy? `predicted` is observe_access()'s verdict.
   /// The default is the paper's rule: data-centric tag OR requester-side
-  /// prediction.
+  /// prediction. The engine adds the base's cold-exclusive grant.
   [[nodiscard]] virtual bool read_grants_exclusive(
       const DirEntry& entry, bool predicted) const {
     return entry.tagged || predicted;
@@ -143,23 +134,6 @@ class CoherencePolicy {
     (void)writer;
     (void)upgrade;
     return {};
-  }
-
-  /// How a read miss on a kDirty block resolves (see DirtyReadResolution).
-  /// The default reproduces the baseline machine: the owner writes back
-  /// and home memory becomes clean.
-  [[nodiscard]] virtual DirtyReadResolution on_dirty_read(
-      const DirEntry& entry) const {
-    (void)entry;
-    return DirtyReadResolution::kWriteback;
-  }
-
-  /// True for write-update protocols (Dragon): a write to a block with
-  /// remote shared copies pushes the new data to them instead of
-  /// invalidating, and the writer's line lands in Owned rather than
-  /// Modified. The engine caches this once at construction.
-  [[nodiscard]] virtual bool writes_update_sharers() const noexcept {
-    return false;
   }
 
   /// Called when an ownership upgrade sends `count` invalidations to
@@ -217,32 +191,10 @@ class CoherencePolicy {
   }
 
  protected:
-  /// AD's migratory evidence at an ownership upgrade: exactly one other
-  /// believed sharer, and it is the previous writer — a read→write
-  /// hand-off. Imprecise entries (pointer overflow, coarse regions)
-  /// yield no evidence: the believed set is a superset, so "exactly one
-  /// other sharer" cannot be trusted.
-  [[nodiscard]] bool migratory_evidence(const DirEntry& entry,
-                                        NodeId writer) const {
-    if (entry.imprecise || entry.last_writer == kInvalidNode ||
-        entry.last_writer == writer) {
-      return false;
-    }
-    if (directory_ == nullptr) {
-      // Standalone fallback: interpret the word as a full-map bitmap.
-      if (writer >= kFullMapNodes || entry.last_writer >= kFullMapNodes) {
-        return false;
-      }
-      const std::uint64_t others =
-          entry.sharers & ~(std::uint64_t{1} << writer);
-      return others == (std::uint64_t{1} << entry.last_writer);
-    }
-    SharerSet others = directory_->believed_sharers(entry);
-    others.reset(writer);
-    return others.is_only(entry.last_writer);
-  }
-
   const DirectoryPolicy* directory_ = nullptr;
+
+ private:
+  ProtocolKind kind_;
 };
 
 }  // namespace lssim

@@ -41,14 +41,14 @@ MemorySystem::MemorySystem(const MachineConfig& config, AddressSpace& space,
           config, stats,
           telemetry != nullptr ? telemetry->metrics() : nullptr)),
       dir_(config.protocol.default_tagged &&
-           policy_->supports_default_tagged()),
+           protocol_info(policy_->kind()).has_tag_rule()),
       fs_(config.classify_false_sharing, stats),
       oracle_(true),
       telemetry_(telemetry != nullptr && telemetry->enabled() ? telemetry
                                                                : nullptr) {
   assert(config.validate().empty());
   snoops_ = net_->snoops();
-  update_mode_ = policy_->writes_update_sharers();
+  base_ = protocol_info(policy_->kind()).base;
   trust_updates_ = config.protocol.trust_update_sharers;
   fs_enabled_ = config.classify_false_sharing;
   l1_fast_hit_ = !fs_enabled_ && config.l2.assoc == 1;
@@ -390,10 +390,12 @@ Cycles MemorySystem::do_read_miss(NodeId node, Addr block, Cycles now,
                                   std::uint32_t site) {
   const NodeId home = space_.home_of(block);
   DirEntry& e = dir_entry_at(block, now);
-  // Exclusive read replies: data-centric (home tag, LS/AD) or
-  // instruction-centric (requester-side prediction, ILS).
+  // Exclusive read replies: data-centric (home tag, LS/AD),
+  // instruction-centric (requester-side prediction, ILS) or the base's
+  // Illinois cold read.
   const bool want_exclusive =
-      policy_->read_grants_exclusive(e, predicted_exclusive);
+      policy_->read_grants_exclusive(e, predicted_exclusive) ||
+      (base_.cold_exclusive && e.state == DirState::kUncached);
 
   stats_.global_read_misses += 1;
   stats_.data_misses += 1;
@@ -481,9 +483,7 @@ Cycles MemorySystem::do_read_miss(NodeId node, Addr block, Cycles now,
           fill_state = CacheState::kLStemp;
           stats_.exclusive_read_replies += 1;
           emit(ProtoEventKind::kMigrate, node, block, now, e);
-        } else if (e.state == DirState::kOwned ||
-                   policy_->on_dirty_read(e) ==
-                       DirtyReadResolution::kOwnerKeeps) {
+        } else if (e.state == DirState::kOwned || base_.owner_keeps) {
           // MOESI / Dragon: the owner keeps the dirty block (Owned) and
           // supplies the data cache-to-cache (3-hop: requester -> home ->
           // owner -> requester); home memory stays stale.
@@ -610,7 +610,7 @@ Cycles MemorySystem::do_write_global(NodeId node, Addr block, Cycles now,
   // survive repeats this global update transaction — the cost the
   // protocol trades for the eliminated re-read misses.
   const int count = targets.count();
-  const bool update = update_mode_ && (count > 0 || supplier != kInvalidNode);
+  const bool update = base_.updates && (count > 0 || supplier != kInvalidNode);
   if (update) {
     stats_.update_transactions += 1;
   } else {

@@ -7,9 +7,10 @@
 // composition. Everything protocol-specific — when a block gets tagged or
 // de-tagged, whether a read of a tagged block returns an exclusive
 // (LStemp) copy, predictor training — is delegated to a CoherencePolicy
-// (core/coherence_policy.hpp) resolved from the protocol registry:
-// Baseline, AD, LS, ILS and the LS+AD hybrid all run through the exact
-// same engine code.
+// (core/coherence_policy.hpp) resolved from the protocol registry, whose
+// row also names the base protocol (Illinois cold-exclusive reads,
+// owner-keeps dirty reads, Dragon write-update): all ten protocols run
+// through the exact same engine code.
 //
 // Because the simulated machine is sequentially consistent and processors
 // stall on every L2 miss (paper §4.2), each access can be executed as one
@@ -28,6 +29,7 @@
 #include "core/coherence_policy.hpp"
 #include "core/directory.hpp"
 #include "core/directory_policy.hpp"
+#include "core/protocol_registry.hpp"
 #include "mem/address_space.hpp"
 #include "net/interconnect.hpp"
 #include "sim/config.hpp"
@@ -283,7 +285,8 @@ class MemorySystem {
   AddressSpace& space_;
   Stats& stats_;
   /// The pluggable protocol policy (declared before dir_: the directory's
-  /// default-tagged knob asks the policy whether tagging applies at all).
+  /// default-tagged knob asks the policy's registry row whether tagging
+  /// applies at all).
   std::unique_ptr<CoherencePolicy> policy_;
   /// Cached policy_->observes_accesses() so passive policies keep the
   /// L1-hit fast path free of virtual dispatch.
@@ -300,8 +303,9 @@ class MemorySystem {
   /// directed forward/invalidate/update legs — the request broadcast
   /// already reached every cache.
   bool snoops_ = false;
-  /// Cached policy_->writes_update_sharers() (Dragon write-update).
-  bool update_mode_ = false;
+  /// The registry row's base protocol (cold-exclusive reads, owner-keeps
+  /// dirty reads, write-update), read once at construction.
+  BaseProtocol base_;
   /// Cached ProtocolConfig::trust_update_sharers (fault injection).
   bool trust_updates_ = false;
   Directory dir_;

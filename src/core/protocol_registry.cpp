@@ -2,70 +2,49 @@
 
 #include <cassert>
 
-#include "core/policies/ad_policy.hpp"
-#include "core/policies/baseline_policy.hpp"
-#include "core/policies/dragon_policy.hpp"
-#include "core/policies/ils_policy.hpp"
-#include "core/policies/ls_ad_hybrid_policy.hpp"
-#include "core/policies/ls_dragon_policy.hpp"
-#include "core/policies/ls_mesi_policy.hpp"
-#include "core/policies/ls_policy.hpp"
-#include "core/policies/mesi_policy.hpp"
-#include "core/policies/moesi_policy.hpp"
+#include "core/tag_rules.hpp"
 
 namespace lssim {
 namespace {
 
-template <typename Policy>
-std::unique_ptr<CoherencePolicy> make_from_protocol(
-    const MachineConfig& config) {
-  return std::make_unique<Policy>(config.protocol);
-}
-
-std::unique_ptr<CoherencePolicy> make_baseline(const MachineConfig&) {
-  return std::make_unique<BaselinePolicy>();
-}
-
-template <typename Policy>
-std::unique_ptr<CoherencePolicy> make_simple(const MachineConfig&) {
-  return std::make_unique<Policy>();
-}
-
-std::unique_ptr<CoherencePolicy> make_ils(const MachineConfig& config) {
-  return std::make_unique<IlsPolicy>(config.num_nodes);
-}
+constexpr BaseProtocol kInvalidate{};
+constexpr BaseProtocol kIllinois{.cold_exclusive = true};
+constexpr BaseProtocol kMoesiBase{.cold_exclusive = true,
+                                  .owner_keeps = true};
+constexpr BaseProtocol kDragonBase{
+    .cold_exclusive = true, .owner_keeps = true, .updates = true};
 
 // THE registration site: one row per protocol, in ProtocolKind order.
 const ProtocolInfo kRegistry[kNumProtocolKinds] = {
     {ProtocolKind::kBaseline,
      "DASH-like full-map write-invalidate (no load-store optimization)",
-     &make_baseline},
+     TagRule::kNone, kInvalidate},
     {ProtocolKind::kAd,
      "adaptive migratory detection (Stenström et al., ISCA'93)",
-     &make_from_protocol<AdPolicy>},
+     TagRule::kAd, kInvalidate},
     {ProtocolKind::kLs,
      "the paper's load-store extension (home-resident LS bit)",
-     &make_from_protocol<LsPolicy>},
+     TagRule::kLs, kInvalidate},
     {ProtocolKind::kIls,
      "instruction-centric load-exclusive prediction (per-site tables)",
-     &make_ils},
+     TagRule::kIls, kInvalidate},
     {ProtocolKind::kLsAd,
      "LS tagging with AD's migratory fallback (paper §6 combination)",
-     &make_from_protocol<LsAdHybridPolicy>},
+     TagRule::kLsAd, kInvalidate},
     {ProtocolKind::kMesi,
      "classic MESI / Illinois (exclusive-clean cold reads, no tagging)",
-     &make_simple<MesiPolicy>},
+     TagRule::kNone, kIllinois},
     {ProtocolKind::kMoesi,
      "MESI plus Owned: dirty owner services read misses cache-to-cache",
-     &make_simple<MoesiPolicy>},
+     TagRule::kNone, kMoesiBase},
     {ProtocolKind::kDragon,
      "Dragon write-update: writes push data to surviving sharers",
-     &make_simple<DragonPolicy>},
+     TagRule::kNone, kDragonBase},
     {ProtocolKind::kLsMesi, "the paper's LS tagging composed over a MESI base",
-     &make_from_protocol<LsMesiPolicy>},
+     TagRule::kLs, kIllinois},
     {ProtocolKind::kLsDragon,
      "LS tagging over Dragon: tagged blocks migrate instead of updating",
-     &make_from_protocol<LsDragonPolicy>},
+     TagRule::kLs, kDragonBase},
 };
 
 }  // namespace
@@ -79,7 +58,21 @@ const ProtocolInfo& protocol_info(ProtocolKind kind) {
 }
 
 std::unique_ptr<CoherencePolicy> make_policy(const MachineConfig& config) {
-  return protocol_info(config.protocol.kind).make(config);
+  const ProtocolKind kind = config.protocol.kind;
+  const TagRule rule = protocol_info(kind).rule;
+  switch (rule) {
+    case TagRule::kNone:
+      return std::make_unique<CoherencePolicy>(kind);
+    case TagRule::kLs:
+    case TagRule::kAd:
+    case TagRule::kLsAd:
+      return std::make_unique<TagRulePolicy>(kind, config.protocol,
+                                             rule != TagRule::kAd,
+                                             rule != TagRule::kLs);
+    case TagRule::kIls:
+      return std::make_unique<IlsPolicy>(config.num_nodes);
+  }
+  return nullptr;
 }
 
 }  // namespace lssim

@@ -10,9 +10,9 @@
 
 namespace lssim {
 
-/// Which coherence technique the memory system runs. Each kind is backed
-/// by a CoherencePolicy implementation (src/core/policies/) resolved
-/// through the protocol registry (src/core/protocol_registry.hpp).
+/// Which coherence technique the memory system runs. Each kind is one
+/// row of the protocol registry (src/core/protocol_registry.cpp): a tag
+/// rule (src/core/tag_rules.hpp) over a base protocol.
 ///   kBaseline — DASH-like full-map write-invalidate protocol.
 ///   kAd       — adaptive migratory-sharing optimization
 ///               (Stenström/Brorsson/Sandberg, ISCA'93); the paper's "AD".
@@ -22,21 +22,16 @@ namespace lssim {
 ///               ICPP'99); an extension for comparison, see
 ///               core/ils_predictor.hpp.
 ///   kLsAd     — LS tagging with AD's migratory detection as fallback
-///               (the paper's §6 combination; see
-///               core/policies/ls_ad_hybrid_policy.hpp).
+///               (the paper's §6 combination).
 ///   kMesi     — classic MESI (Illinois): cold reads of uncached blocks
-///               return an Exclusive copy; never tags
-///               (core/policies/mesi_policy.hpp).
+///               return an Exclusive copy; never tags.
 ///   kMoesi    — MESI plus an Owned state: a dirty owner services read
 ///               misses cache-to-cache and keeps the (stale-at-home)
-///               block (core/policies/moesi_policy.hpp).
+///               block.
 ///   kDragon   — write-update (Dragon): writes to shared blocks update
-///               the remote copies instead of invalidating them
-///               (core/policies/dragon_policy.hpp).
-///   kLsMesi   — the paper's LS tagging composed over MESI
-///               (core/policies/ls_mesi_policy.hpp).
-///   kLsDragon — LS tagging composed over Dragon write-update
-///               (core/policies/ls_dragon_policy.hpp).
+///               the remote copies instead of invalidating them.
+///   kLsMesi   — the paper's LS tagging composed over MESI.
+///   kLsDragon — LS tagging composed over Dragon write-update.
 enum class ProtocolKind : std::uint8_t {
   kBaseline,
   kAd,
@@ -53,7 +48,7 @@ enum class ProtocolKind : std::uint8_t {
 inline constexpr int kNumProtocolKinds = 10;
 
 /// The protocol names. Adding a protocol means one row here plus one
-/// registration in core/protocol_registry.cpp.
+/// registry row (tag rule and base) in core/protocol_registry.cpp.
 inline constexpr NameTable<ProtocolKind, kNumProtocolKinds> kProtocolNames{
     "protocol",
     {{

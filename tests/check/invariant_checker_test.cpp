@@ -102,9 +102,7 @@ TEST(InvariantChecker, IncrementalAndFullSweepAgree) {
 /// grant.
 class GreedyGrantPolicy final : public CoherencePolicy {
  public:
-  [[nodiscard]] ProtocolKind kind() const noexcept override {
-    return ProtocolKind::kLs;
-  }
+  GreedyGrantPolicy() : CoherencePolicy(ProtocolKind::kLs) {}
   [[nodiscard]] bool read_grants_exclusive(const DirEntry&,
                                            bool) const override {
     return true;
@@ -128,13 +126,11 @@ TEST(InvariantChecker, UntaggedExclusiveGrantIsFlagged) {
   EXPECT_EQ(run.violations.front().access_index, 1u);
 }
 
-/// Claims to be Baseline but tags blocks — the checker's Baseline-
+/// Claims a protocol without a tag rule but tags blocks — the checker's
 /// never-tags rule must fire.
-class TaggingBaselinePolicy final : public CoherencePolicy {
+class TaggingPolicy final : public CoherencePolicy {
  public:
-  [[nodiscard]] ProtocolKind kind() const noexcept override {
-    return ProtocolKind::kBaseline;
-  }
+  explicit TaggingPolicy(ProtocolKind kind) : CoherencePolicy(kind) {}
   WriteTagDecision on_global_write(const DirEntry&, NodeId, bool) override {
     return {TagAction::kTag, false};
   }
@@ -150,12 +146,35 @@ TEST(InvariantChecker, BaselineTaggingIsFlagged) {
   };
   const auto policy = [](const MachineConfig&) {
     return std::unique_ptr<CoherencePolicy>(
-        std::make_unique<TaggingBaselinePolicy>());
+        std::make_unique<TaggingPolicy>(ProtocolKind::kBaseline));
   };
   const TraceRunResult run =
       run_trace(trace, policy, CheckerOptions{.full_scan_interval = 1});
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.violations.front().invariant, "ls-tag");
+}
+
+TEST(InvariantChecker, MesiTaggingIsFlagged) {
+  // MESI has no tag rule either. Its cold read is granted exclusive, so
+  // a second reader first makes the block Shared; the writer's upgrade
+  // then reaches the home and the policy tags.
+  ReproTrace trace;
+  trace.machine = tiny_machine(2, ProtocolKind::kMesi);
+  const Addr b0 = verification_block(trace.machine, 0);
+  trace.accesses = {
+      {0, MemOpKind::kRead, b0, 8, 0, 0},
+      {1, MemOpKind::kRead, b0, 8, 0, 0},
+      {0, MemOpKind::kWrite, b0, 8, 0x1, 0},
+  };
+  const auto policy = [](const MachineConfig&) {
+    return std::unique_ptr<CoherencePolicy>(
+        std::make_unique<TaggingPolicy>(ProtocolKind::kMesi));
+  };
+  const TraceRunResult run =
+      run_trace(trace, policy, CheckerOptions{.full_scan_interval = 1});
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.violations.front().invariant, "ls-tag");
+  EXPECT_EQ(run.violations.front().access_index, 3u);
 }
 
 TEST(InvariantChecker, ViolationStorageIsCappedButCountingContinues) {

@@ -1,17 +1,27 @@
-// Unit tests for the CoherencePolicy hook decisions, one suite per
-// policy under src/core/policies/. These drive the hooks directly with
-// hand-built directory states; engine-level behaviour is covered by the
-// per-protocol tests and the cross-protocol stress test.
+// Unit tests for the CoherencePolicy hook decisions, one suite per tag
+// rule (core/tag_rules.hpp) plus the rule-less base class. These drive
+// the hooks directly with hand-built directory states; engine-level
+// behaviour is covered by the per-protocol tests and the cross-protocol
+// stress test, and protocol_table_test pins every protocol's answers.
 #include <gtest/gtest.h>
 
-#include "core/policies/ad_policy.hpp"
-#include "core/policies/baseline_policy.hpp"
-#include "core/policies/ils_policy.hpp"
-#include "core/policies/ls_ad_hybrid_policy.hpp"
-#include "core/policies/ls_policy.hpp"
+#include "core/protocol_registry.hpp"
+#include "core/tag_rules.hpp"
 
 namespace lssim {
 namespace {
+
+TagRulePolicy ls_policy(const ProtocolConfig& cfg = {}) {
+  return {ProtocolKind::kLs, cfg, /*ls=*/true, /*ad=*/false};
+}
+
+TagRulePolicy ad_policy(const ProtocolConfig& cfg = {}) {
+  return {ProtocolKind::kAd, cfg, /*ls=*/false, /*ad=*/true};
+}
+
+TagRulePolicy ls_ad_policy(const ProtocolConfig& cfg = {}) {
+  return {ProtocolKind::kLsAd, cfg, /*ls=*/true, /*ad=*/true};
+}
 
 /// A kShared directory entry with the given presence bits and history.
 DirEntry shared_entry(std::uint64_t sharers, NodeId last_reader,
@@ -27,9 +37,9 @@ DirEntry shared_entry(std::uint64_t sharers, NodeId last_reader,
 // ---------------------------------------------------------------- Baseline
 
 TEST(BaselinePolicyTest, IsEntirelyPassive) {
-  BaselinePolicy p;
+  CoherencePolicy p{ProtocolKind::kBaseline};
   EXPECT_EQ(p.kind(), ProtocolKind::kBaseline);
-  EXPECT_FALSE(p.supports_default_tagged());
+  EXPECT_FALSE(protocol_info(p.kind()).has_tag_rule());
   EXPECT_FALSE(p.observes_accesses());
   EXPECT_EQ(p.ils_predictor(), nullptr);
 
@@ -46,7 +56,7 @@ TEST(BaselinePolicyTest, ReadGrantFollowsTheSharedDefaultRule) {
   // The default read_grants_exclusive is `tagged || predicted`; Baseline
   // never tags and never predicts, so in practice this always stays
   // false — but the contract itself is the shared one.
-  BaselinePolicy p;
+  CoherencePolicy p{ProtocolKind::kBaseline};
   DirEntry e;
   EXPECT_FALSE(p.read_grants_exclusive(e, false));
   e.tagged = true;
@@ -58,7 +68,7 @@ TEST(BaselinePolicyTest, ReadGrantFollowsTheSharedDefaultRule) {
 // ---------------------------------------------------------------------- LS
 
 TEST(LsPolicyTest, TagsWhenWriterMatchesLastReader) {
-  LsPolicy p{ProtocolConfig{}};
+  TagRulePolicy p = ls_policy();
   const DirEntry e = shared_entry(0b0010, /*last_reader=*/1,
                                   /*last_writer=*/kInvalidNode);
   // Upgrade and write miss both qualify: the LR field lives at the home
@@ -68,7 +78,7 @@ TEST(LsPolicyTest, TagsWhenWriterMatchesLastReader) {
 }
 
 TEST(LsPolicyTest, LoneWriteDetags) {
-  LsPolicy p{ProtocolConfig{}};
+  TagRulePolicy p = ls_policy();
   const DirEntry e = shared_entry(0b0010, /*last_reader=*/1,
                                   /*last_writer=*/kInvalidNode);
   // Write miss from a node that did not read last: negative evidence.
@@ -82,7 +92,7 @@ TEST(LsPolicyTest, LoneWriteDetags) {
 TEST(LsPolicyTest, KeepHeuristicSuppressesLoneWriteDetag) {
   ProtocolConfig cfg;
   cfg.keep_tag_on_lone_write = true;
-  LsPolicy p{cfg};
+  TagRulePolicy p = ls_policy(cfg);
   const DirEntry e = shared_entry(0b0010, /*last_reader=*/1,
                                   /*last_writer=*/kInvalidNode);
   const WriteTagDecision d = p.on_global_write(e, 2, false);
@@ -93,7 +103,7 @@ TEST(LsPolicyTest, KeepHeuristicSuppressesLoneWriteDetag) {
 TEST(LsPolicyTest, IgnoresUpgradeInvalidationsAndReplacements) {
   // LS has no read-shared de-detection and its bit survives
   // replacements: both hooks stay at the default.
-  LsPolicy p{ProtocolConfig{}};
+  TagRulePolicy p = ls_policy();
   const DirEntry e = shared_entry(0b0111, 0, 1);
   EXPECT_EQ(p.on_upgrade_invalidations(e, 2), TagAction::kNone);
   EXPECT_EQ(p.on_victim_writeback(e, CacheState::kModified),
@@ -103,7 +113,7 @@ TEST(LsPolicyTest, IgnoresUpgradeInvalidationsAndReplacements) {
 // ---------------------------------------------------------------------- AD
 
 TEST(AdPolicyTest, DetectsMigratoryHandoffAtUpgrade) {
-  AdPolicy p{ProtocolConfig{}};
+  TagRulePolicy p = ad_policy();
   // Writer 2 upgrades; the only other copy belongs to last writer 1.
   const DirEntry e = shared_entry(0b0110, /*last_reader=*/2,
                                   /*last_writer=*/1);
@@ -111,13 +121,13 @@ TEST(AdPolicyTest, DetectsMigratoryHandoffAtUpgrade) {
 }
 
 TEST(AdPolicyTest, WriteMissesCarryNoEvidence) {
-  AdPolicy p{ProtocolConfig{}};
+  TagRulePolicy p = ad_policy();
   const DirEntry e = shared_entry(0b0110, 2, 1);
   EXPECT_EQ(p.on_global_write(e, 2, false).action, TagAction::kNone);
 }
 
 TEST(AdPolicyTest, RequiresExactlyTheLastWriterAsOtherCopy) {
-  AdPolicy p{ProtocolConfig{}};
+  TagRulePolicy p = ad_policy();
   // Two other copies: not migratory.
   EXPECT_EQ(p.on_global_write(shared_entry(0b1110, 2, 1), 2, true).action,
             TagAction::kNone);
@@ -134,21 +144,21 @@ TEST(AdPolicyTest, RequiresExactlyTheLastWriterAsOtherCopy) {
 }
 
 TEST(AdPolicyTest, ImpreciseSharersBlindTheDetector) {
-  AdPolicy p{ProtocolConfig{}};
+  TagRulePolicy p = ad_policy();
   DirEntry e = shared_entry(0b0110, 2, 1);
   e.imprecise = true;
   EXPECT_EQ(p.on_global_write(e, 2, true).action, TagAction::kNone);
 }
 
 TEST(AdPolicyTest, MultipleInvalidationsDeDetect) {
-  AdPolicy p{ProtocolConfig{}};
+  TagRulePolicy p = ad_policy();
   const DirEntry e = shared_entry(0b0111, 0, 1);
   EXPECT_EQ(p.on_upgrade_invalidations(e, 1), TagAction::kNone);
   EXPECT_EQ(p.on_upgrade_invalidations(e, 2), TagAction::kDetag);
 }
 
 TEST(AdPolicyTest, ReplacementOfOwningCopyBreaksTheChain) {
-  AdPolicy p{ProtocolConfig{}};
+  TagRulePolicy p = ad_policy();
   const DirEntry e = shared_entry(0b0010, 1, 0);
   EXPECT_EQ(p.on_victim_writeback(e, CacheState::kModified),
             TagAction::kDetag);
@@ -162,7 +172,7 @@ TEST(AdPolicyTest, ReplacementOfOwningCopyBreaksTheChain) {
 TEST(AdPolicyTest, ReplacementKnobCanPreserveTheTag) {
   ProtocolConfig cfg;
   cfg.ad_detag_on_replacement = false;
-  AdPolicy p{cfg};
+  TagRulePolicy p = ad_policy(cfg);
   const DirEntry e = shared_entry(0b0010, 1, 0);
   EXPECT_EQ(p.on_victim_writeback(e, CacheState::kModified),
             TagAction::kNone);
@@ -218,7 +228,7 @@ TEST(IlsPolicyTest, LeavesTheDirectoryTagAlone) {
 // ------------------------------------------------------------------- LS+AD
 
 TEST(LsAdHybridPolicyTest, LsRuleDominates) {
-  LsAdHybridPolicy p{ProtocolConfig{}};
+  TagRulePolicy p = ls_ad_policy();
   const DirEntry e = shared_entry(0b0010, /*last_reader=*/1,
                                   /*last_writer=*/kInvalidNode);
   EXPECT_EQ(p.on_global_write(e, 1, true).action, TagAction::kTag);
@@ -226,7 +236,7 @@ TEST(LsAdHybridPolicyTest, LsRuleDominates) {
 }
 
 TEST(LsAdHybridPolicyTest, AdFallbackFiresAtUpgradesOnly) {
-  LsAdHybridPolicy p{ProtocolConfig{}};
+  TagRulePolicy p = ls_ad_policy();
   // LR missed the sequence (points elsewhere) but AD's evidence holds:
   // writer 2's only co-sharer is last writer 1.
   const DirEntry e = shared_entry(0b0110, /*last_reader=*/3,
@@ -240,14 +250,14 @@ TEST(LsAdHybridPolicyTest, AdFallbackFiresAtUpgradesOnly) {
 }
 
 TEST(LsAdHybridPolicyTest, ImpreciseSharersDisableTheFallback) {
-  LsAdHybridPolicy p{ProtocolConfig{}};
+  TagRulePolicy p = ls_ad_policy();
   DirEntry e = shared_entry(0b0110, 3, 1);
   e.imprecise = true;
   EXPECT_EQ(p.on_global_write(e, 2, true).action, TagAction::kNone);
 }
 
 TEST(LsAdHybridPolicyTest, UnionOfNegativeEvidence) {
-  LsAdHybridPolicy p{ProtocolConfig{}};
+  TagRulePolicy p = ls_ad_policy();
   // AD's read-shared de-detection...
   const DirEntry e = shared_entry(0b0111, 0, 1);
   EXPECT_EQ(p.on_upgrade_invalidations(e, 2), TagAction::kDetag);
@@ -255,7 +265,7 @@ TEST(LsAdHybridPolicyTest, UnionOfNegativeEvidence) {
   // ...plus LS's lone-write de-tag, which the §5.5 knob can disable.
   ProtocolConfig keep;
   keep.keep_tag_on_lone_write = true;
-  LsAdHybridPolicy keeper{keep};
+  TagRulePolicy keeper = ls_ad_policy(keep);
   const DirEntry lone = shared_entry(0b0010, 1, kInvalidNode);
   EXPECT_EQ(keeper.on_global_write(lone, 2, false).action, TagAction::kNone);
 }
@@ -263,7 +273,7 @@ TEST(LsAdHybridPolicyTest, UnionOfNegativeEvidence) {
 TEST(LsAdHybridPolicyTest, TagSurvivesReplacementLikeLs) {
   // ad_detag_on_replacement defaults to true, but the hybrid's bit is
   // home-resident: replacements must not drop it.
-  LsAdHybridPolicy p{ProtocolConfig{}};
+  TagRulePolicy p = ls_ad_policy();
   const DirEntry e = shared_entry(0b0010, 1, 0);
   EXPECT_EQ(p.on_victim_writeback(e, CacheState::kModified),
             TagAction::kNone);

@@ -1,6 +1,7 @@
 // The kind-keyed protocol registry: complete coverage of every
-// ProtocolKind and working factories; and the kProtocolNames table it
-// takes names from: exact round-trips and case-insensitive aliases.
+// ProtocolKind and a working policy for every row; and the
+// kProtocolNames table it takes names from: exact round-trips and
+// case-insensitive aliases.
 #include "core/protocol_registry.hpp"
 
 #include <gtest/gtest.h>
@@ -18,7 +19,9 @@ TEST(ProtocolRegistryTest, EveryKindIsRegisteredInEnumOrder) {
     EXPECT_EQ(static_cast<std::size_t>(info.kind), i);
     EXPECT_NE(info.summary, nullptr);
     EXPECT_NE(info.summary[0], '\0') << to_string(info.kind);
-    ASSERT_NE(info.make, nullptr) << to_string(info.kind);
+    MachineConfig cfg;
+    cfg.protocol.kind = info.kind;
+    ASSERT_NE(make_policy(cfg), nullptr) << to_string(info.kind);
   }
 }
 
@@ -26,7 +29,7 @@ TEST(ProtocolRegistryTest, FactoriesBuildTheMatchingPolicy) {
   for (const ProtocolInfo& info : registered_protocols()) {
     MachineConfig cfg;
     cfg.protocol.kind = info.kind;
-    const auto policy = info.make(cfg);
+    const auto policy = make_policy(cfg);
     ASSERT_NE(policy, nullptr) << to_string(info.kind);
     EXPECT_EQ(policy->kind(), info.kind) << to_string(info.kind);
   }

@@ -78,13 +78,14 @@ Answers answers(ProtocolKind kind, const DirEntry& e, NodeId writer,
                 bool upgrade, int invalidations, CacheState victim) {
   MachineConfig cfg;
   cfg.protocol.kind = kind;
-  const auto policy = protocol_info(kind).make(cfg);
+  const ProtocolInfo& row = protocol_info(kind);
+  const auto policy = make_policy(cfg);
   Answers a;
-  a.default_tag = policy->supports_default_tagged();
-  a.owner_keeps =
-      policy->on_dirty_read(e) == DirtyReadResolution::kOwnerKeeps;
-  a.updates = policy->writes_update_sharers();
-  a.grant = policy->read_grants_exclusive(e, /*predicted=*/false);
+  a.default_tag = row.has_tag_rule();
+  a.owner_keeps = row.base.owner_keeps;
+  a.updates = row.base.updates;
+  a.grant = policy->read_grants_exclusive(e, /*predicted=*/false) ||
+            (row.base.cold_exclusive && e.state == DirState::kUncached);
   a.write = policy->on_global_write(e, writer, upgrade);
   a.upgrade_invalidations = policy->on_upgrade_invalidations(e, invalidations);
   a.victim = policy->on_victim_writeback(e, victim);
