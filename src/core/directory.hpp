@@ -5,10 +5,9 @@
 // the last-reader (LR) bit-field and the LS bit ("tagged" here, since
 // the AD technique reuses the same storage for its migratory bit). The
 // 64-bit `sharers` word is an *encoding* owned by the active directory
-// organisation (core/directory_policy.hpp): a presence bitmap under
-// full-map, packed node pointers under limited-pointer, region bits
-// under coarse-vector/sparse. The bitmap helpers below are the full-map
-// encoding's accessors, used by the full-map policy and by tests.
+// organisation (core/directory_policy.hpp): region bits under the
+// bit-vector encoding (one bit per node under full-map), packed node
+// pointers under limited-pointer.
 //
 // Entries live in a BlockTable (sim/block_table.hpp), the flat
 // open-addressing table the load-store oracle also uses: one
@@ -18,7 +17,6 @@
 // §5.5 default-tagged variation and the entries-created metric.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <utility>
 
@@ -57,10 +55,10 @@ enum class DirState : std::uint8_t {
 }
 
 struct DirEntry {
-  /// Organisation-encoded sharer word (kShared): a presence bitmap under
-  /// full-map, packed node pointers under limited-pointer, region bits
-  /// under coarse-vector/sparse. Only the active DirectoryPolicy and the
-  /// bitmap helpers below interpret it.
+  /// Organisation-encoded sharer word (kShared): region bits under the
+  /// bit-vector encoding (a presence bitmap under full-map), packed node
+  /// pointers under limited-pointer. Only the active DirectoryPolicy
+  /// interprets it.
   std::uint64_t sharers = 0;
   NodeId owner = kInvalidNode;        ///< Valid in kDirty / kExcl.
   NodeId last_reader = kInvalidNode;  ///< Paper's LR field.
@@ -73,20 +71,6 @@ struct DirEntry {
   bool imprecise : 1 = false;
   std::uint8_t tag_progress : 3 = 0;  ///< Hysteresis counters (§5.5),
   std::uint8_t detag_progress : 3 = 0;  ///< depth <= 7 (bit-field width).
-
-  /// Full-map-encoding accessors: bit n of `sharers` = node n (<= 64
-  /// nodes). Organisations with other encodings go through their
-  /// DirectoryPolicy instead.
-  [[nodiscard]] int sharer_count() const noexcept {
-    return std::popcount(sharers);
-  }
-  [[nodiscard]] bool is_sharer(NodeId node) const noexcept {
-    return (sharers >> node) & 1u;
-  }
-  void add_sharer(NodeId node) noexcept { sharers |= std::uint64_t{1} << node; }
-  void remove_sharer(NodeId node) noexcept {
-    sharers &= ~(std::uint64_t{1} << node);
-  }
 };
 
 // The sharer word, three 16-bit node ids, the state byte and the packed

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "check/invariants.hpp"
-#include "core/directory_registry.hpp"
 #include "core/protocol_registry.hpp"
 
 namespace lssim {
@@ -661,6 +660,16 @@ Cycles MemorySystem::do_write_global(NodeId node, Addr block, Cycles now,
   return completion;
 }
 
+inline void MemorySystem::finish_access(NodeId node, const AccessRequest& req,
+                                        AccessResult& result, Cycles now) {
+  if (!lean_replay_) {
+    result.value = apply_data(req);
+  }
+  if (checker_ != nullptr) {
+    checker_->on_access(*this, node, req, result, now);
+  }
+}
+
 AccessResult MemorySystem::access(NodeId node, const AccessRequest& req,
                                   Cycles now) {
   assert(node < caches_.size());
@@ -697,21 +706,10 @@ AccessResult MemorySystem::access(NodeId node, const AccessRequest& req,
       stats_.l1_hits += 1;
       ch.l1().touch(*line1);
       if (is_write && line1->state == CacheState::kLStemp) {
-        CacheLine* line2 = ch.l2().find(block);
-        line2->state = CacheState::kModified;
-        line1->state = CacheState::kModified;
-        stats_.eliminated_acquisitions += 1;
-        emit_local_write(node, block, now);
-        // This store would have been a global write action under the
-        // baseline protocol; the home learns about it lazily.
-        oracle_.on_global_write(node, block, /*eliminated=*/true, req.tag);
+        complete_local_write(node, block, *line1, *ch.l2().find(block),
+                             req.tag, now);
       }
-      if (!lean_replay_) {
-        result.value = apply_data(req);
-      }
-      if (checker_ != nullptr) {
-        checker_->on_access(*this, node, req, result, now);
-      }
+      finish_access(node, req, result, now);
       return result;
     }
   }
@@ -737,13 +735,7 @@ AccessResult MemorySystem::access(NodeId node, const AccessRequest& req,
       lines.l1 = ch.refill_l1(*lines.l2);
     }
     if (is_write && lines.l2->state == CacheState::kLStemp) {
-      lines.l2->state = CacheState::kModified;
-      lines.l1->state = CacheState::kModified;
-      stats_.eliminated_acquisitions += 1;
-      emit_local_write(node, block, now);
-      // This store would have been a global write action under the
-      // baseline protocol; the home learns about it lazily.
-      oracle_.on_global_write(node, block, /*eliminated=*/true, req.tag);
+      complete_local_write(node, block, *lines.l1, *lines.l2, req.tag, now);
     }
   } else {
     // Global transaction: publish the in-flight access context for the
@@ -779,12 +771,7 @@ AccessResult MemorySystem::access(NodeId node, const AccessRequest& req,
           ch.l1().touch(*line1);
         }
       }
-      if (!lean_replay_) {
-        result.value = apply_data(req);
-      }
-      if (checker_ != nullptr) {
-        checker_->on_access(*this, node, req, result, now);
-      }
+      finish_access(node, req, result, now);
       return result;
     }
     lines.l2 = ch.l2().find(block);
@@ -801,12 +788,7 @@ AccessResult MemorySystem::access(NodeId node, const AccessRequest& req,
       fs_.on_write_words(node, block, wmask);
     }
   }
-  if (!lean_replay_) {
-    result.value = apply_data(req);
-  }
-  if (checker_ != nullptr) {
-    checker_->on_access(*this, node, req, result, now);
-  }
+  finish_access(node, req, result, now);
   return result;
 }
 

@@ -264,6 +264,24 @@ class MemorySystem {
     }
   }
 
+  /// The technique's payoff: a store on an LStemp copy completes
+  /// locally, both cache levels go to Modified, and the home learns
+  /// about it lazily. Under the baseline protocol it would have been a
+  /// global write action.
+  void complete_local_write(NodeId node, Addr block, CacheLine& l1,
+                            CacheLine& l2, StreamTag tag, Cycles now) {
+    l2.state = CacheState::kModified;
+    l1.state = CacheState::kModified;
+    stats_.eliminated_acquisitions += 1;
+    emit_local_write(node, block, now);
+    oracle_.on_global_write(node, block, /*eliminated=*/true, tag);
+  }
+  /// Every access ends here: the simulated data movement, then the
+  /// checker. Fills `result` in place so access() keeps returning its
+  /// own named result (no copy on the L1-hit path).
+  void finish_access(NodeId node, const AccessRequest& req,
+                     AccessResult& result, Cycles now);
+
   void tag_event(DirEntry& entry, TagReason reason, Addr block, NodeId node);
   void detag_event(DirEntry& entry, TagReason reason, Addr block,
                    NodeId node);

@@ -137,9 +137,11 @@ struct ProtocolConfig {
   [[nodiscard]] bool operator==(const ProtocolConfig&) const = default;
 };
 
-/// Directory organisation. Each kind is backed by a DirectoryPolicy
-/// implementation (src/core/directories/) resolved through the directory
-/// registry (src/core/directory_registry.hpp).
+/// Directory organisation: one of the two sharer encodings of
+/// core/directory_policy.hpp plus its parameters, chosen by
+/// make_directory_policy(). Full-map, coarse and sparse are the bit
+/// vector with different region widths and entry bounds; limited-ptr is
+/// the pointer encoding.
 ///   kFullMap      — one presence bit per node (the paper's machine);
 ///                   exact sharer knowledge, at most kFullMapNodes nodes.
 ///   kLimitedPtr   — Dir_iB (Agarwal et al., ISCA'88):
@@ -166,7 +168,8 @@ enum class DirectoryKind : std::uint8_t {
 inline constexpr int kNumDirectoryKinds = 4;
 
 /// The directory-organisation names. Adding an organisation means one
-/// row here plus one registration in core/directory_registry.cpp.
+/// row here plus one case in make_directory_policy()
+/// (core/directory_policy.hpp).
 inline constexpr NameTable<DirectoryKind, kNumDirectoryKinds>
     kDirectoryNames{
         "directory organisation",

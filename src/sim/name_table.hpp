@@ -5,9 +5,10 @@
 // A table row is {kind, canonical name, aliases}. Parsing is
 // case-insensitive and accepts the canonical name or any alias, so
 // printing and parsing round-trip exactly wherever a name is read back
-// (driver flags, manifests, results stores, repro files). Registries
-// (core/protocol_registry.hpp, core/directory_registry.hpp) key their
-// factories by kind and take names from here.
+// (driver flags, manifests, results stores, repro files). The protocol
+// registry (core/protocol_registry.hpp) and make_directory_policy()
+// (core/directory_policy.hpp) key their rows and cases by kind and take
+// names from here.
 #pragma once
 
 #include <algorithm>

@@ -68,6 +68,48 @@ bool parse_line(const std::string& line, std::uint32_t* schema_version,
   return sweep_record_from_json(doc, record, error);
 }
 
+/// What scan_store() read from a store file.
+struct StoreScan {
+  std::uint64_t complete_bytes = 0;  ///< Offset after the last full line.
+  bool saw_header = false;
+  bool saw_line = false;  ///< Any non-empty line, header included.
+};
+
+/// Reads every complete line of a store, handing each record line to
+/// `keep`. A last line without its newline is an interrupted append: it
+/// is not read, and `complete_bytes` stops before it. Returns false +
+/// `*error` on a malformed complete line — corruption mid-store, or not
+/// a store at all.
+template <typename Keep>
+bool scan_store(std::istream& in, const std::string& path, Keep&& keep,
+                StoreScan* scan, std::string* error) {
+  std::string line;
+  // getline at EOF: the line had no final '\n'.
+  while (std::getline(in, line) && !in.eof()) {
+    scan->complete_bytes += line.size() + 1;
+    if (line.empty()) continue;
+    std::uint32_t schema_version = 0;
+    SweepRecord record;
+    bool is_header = false;
+    bool skip = false;
+    std::string line_error;
+    if (!parse_line(line, &schema_version, &record, &is_header, &skip,
+                    &line_error)) {
+      if (error != nullptr) {
+        *error = path + ": malformed store line: " + line_error;
+      }
+      return false;
+    }
+    scan->saw_line = true;
+    if (is_header) {
+      scan->saw_header = true;
+    } else if (!skip) {
+      keep(std::move(record));
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 Json sweep_record_to_json(const SweepRecord& record) {
@@ -142,52 +184,20 @@ bool ResultsStore::open(const std::string& path, const Provenance& provenance,
   records_.clear();
   duplicate_hashes_ = 0;
 
-  // Parse whatever is already there, tracking the byte offset after the
-  // last complete, well-formed line so an interrupted append (a partial
-  // trailing line) can be truncated away before we continue.
-  std::uint64_t good_bytes = 0;
-  bool saw_header = false;
+  // Parse whatever is already there; an interrupted append (a partial
+  // trailing line) is truncated away before we continue.
+  StoreScan scan;
   {
     std::ifstream in(path, std::ios::binary);
     if (in) {
-      std::string line;
-      std::uint64_t consumed = 0;
-      while (std::getline(in, line)) {
-        const bool complete = !in.eof();  // getline at EOF: no final '\n'.
-        consumed += line.size() + (complete ? 1 : 0);
-        if (line.empty()) {
-          if (complete) good_bytes = consumed;
-          continue;
+      const auto keep = [this](SweepRecord&& record) {
+        if (!completed_.insert(record.config_hash).second) {
+          duplicate_hashes_ += 1;
         }
-        std::uint32_t schema_version = 0;
-        SweepRecord record;
-        bool is_header = false;
-        bool skip = false;
-        std::string line_error;
-        if (!parse_line(line, &schema_version, &record, &is_header, &skip,
-                        &line_error)) {
-          if (complete) {
-            // A complete but malformed line is corruption (mid-store) or
-            // not a store at all (first line) — refuse rather than
-            // silently truncating someone's file and appending over it.
-            if (error != nullptr) {
-              *error = path + ": malformed store line: " + line_error;
-            }
-            return false;
-          }
-          break;  // Partial trailing line: truncate here.
-        }
-        if (is_header) {
-          saw_header = true;
-        } else if (!skip) {
-          if (!completed_.insert(record.config_hash).second) {
-            duplicate_hashes_ += 1;
-          }
-          records_.push_back(std::move(record));
-        }
-        if (complete) good_bytes = consumed;
-      }
-      if (!saw_header && good_bytes > 0) {
+        records_.push_back(std::move(record));
+      };
+      if (!scan_store(in, path, keep, &scan, error)) return false;
+      if (!scan.saw_header && scan.complete_bytes > 0) {
         if (error != nullptr) {
           *error = path + ": not a sweep results store (no header line)";
         }
@@ -198,8 +208,8 @@ bool ResultsStore::open(const std::string& path, const Provenance& provenance,
 
   std::error_code ec;
   const auto size = std::filesystem::file_size(path, ec);
-  if (!ec && size > good_bytes) {
-    std::filesystem::resize_file(path, good_bytes, ec);
+  if (!ec && size > scan.complete_bytes) {
+    std::filesystem::resize_file(path, scan.complete_bytes, ec);
     if (ec) {
       if (error != nullptr) {
         *error = path + ": cannot truncate partial line: " + ec.message();
@@ -213,7 +223,7 @@ bool ResultsStore::open(const std::string& path, const Provenance& provenance,
     if (error != nullptr) *error = path + ": cannot open for append";
     return false;
   }
-  if (good_bytes == 0) {
+  if (scan.complete_bytes == 0) {
     header_to_json(provenance).write(out_, 0);
     out_ << '\n';
     out_.flush();
@@ -233,28 +243,12 @@ bool ResultsStore::load(const std::string& path,
     return false;
   }
   out->clear();
-  std::string line;
-  bool saw_any = false;
-  while (std::getline(in, line)) {
-    const bool complete = !in.eof();
-    if (line.empty()) continue;
-    std::uint32_t schema_version = 0;
-    SweepRecord record;
-    bool is_header = false;
-    bool skip = false;
-    std::string line_error;
-    if (!parse_line(line, &schema_version, &record, &is_header, &skip,
-                    &line_error)) {
-      if (!complete) break;  // Interrupted final append: ignore.
-      if (error != nullptr) {
-        *error = path + ": malformed store line: " + line_error;
-      }
-      return false;
-    }
-    saw_any = true;
-    if (!is_header && !skip) out->push_back(std::move(record));
-  }
-  if (!saw_any) {
+  StoreScan scan;
+  const auto keep = [out](SweepRecord&& record) {
+    out->push_back(std::move(record));
+  };
+  if (!scan_store(in, path, keep, &scan, error)) return false;
+  if (!scan.saw_line) {
     if (error != nullptr) *error = path + ": empty store";
     return false;
   }

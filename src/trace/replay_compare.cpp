@@ -123,7 +123,6 @@ ReplayCompareEngine::ReplayCompareEngine(const Trace& trace,
 
 RunResult ReplayCompareEngine::replay_collect(const MachineConfig& config,
                                               Stats& stats,
-                                              Cycles* total_cycles,
                                               std::uint64_t* bulk_reads) const {
   check_config_compatible(*trace_, config);
   AddressSpace space(config.num_nodes, config.page_bytes);
@@ -234,18 +233,13 @@ RunResult ReplayCompareEngine::replay_collect(const MachineConfig& config,
   // Trailing compute after each node's last access (or a node's whole
   // program, when it never touched memory).
   Cycles exec_time = 0;
-  Cycles clock_sum = 0;
   for (std::size_t n = 0; n < nodes; ++n) {
     const Cycles gap = n < final_gaps.size() ? final_gaps[n] : 0;
     stats.per_proc[n].busy += gap;
     clock[n] += gap;
     exec_time = std::max(exec_time, clock[n]);
-    clock_sum += clock[n];
   }
   memory.finalize();
-  if (total_cycles != nullptr) {
-    *total_cycles = clock_sum;
-  }
   if (bulk_reads != nullptr) {
     *bulk_reads = bulk;
   }

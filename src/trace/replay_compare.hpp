@@ -104,10 +104,8 @@ class ReplayCompareEngine {
       std::span<const DirectoryKind> directories, int jobs = 1) const;
 
   /// Low-level single replay: accumulates into the caller's Stats and
-  /// (optionally) reports the summed per-node completion clocks —
-  /// replay_trace()'s historical total_cycles — and how many records
-  /// were accounted in bulk (spin parking, below). Used by that wrapper;
-  /// prefer replay()/replay_config().
+  /// (optionally) reports how many records were accounted in bulk (spin
+  /// parking, below). Prefer replay()/replay_config().
   ///
   /// Spin parking: a run of repeated reads (a record that repeats its
   /// node's previous read: same address, size, site and tag) after an L1
@@ -120,7 +118,6 @@ class ReplayCompareEngine {
   /// (the live tie rule) are, and the rest replay one at a time. Results
   /// are bit-identical to replaying every record.
   RunResult replay_collect(const MachineConfig& config, Stats& stats,
-                           Cycles* total_cycles = nullptr,
                            std::uint64_t* bulk_reads = nullptr) const;
 
   [[nodiscard]] const MachineConfig& base_config() const noexcept {

@@ -12,8 +12,8 @@
 #include <string>
 #include <string_view>
 
+#include "core/protocol.hpp"
 #include "sim/output_block.hpp"
-#include "trace/replay_compare.hpp"
 
 namespace lssim {
 namespace {
@@ -240,15 +240,6 @@ Trace Trace::load(std::istream& is) {
     }
   }
   return trace;
-}
-
-ReplayResult replay_trace(const Trace& trace, const MachineConfig& config,
-                          Stats& stats) {
-  const ReplayCompareEngine engine(trace, config);
-  ReplayResult result;
-  (void)engine.replay_collect(config, stats, &result.total_cycles);
-  result.accesses = trace.size();
-  return result;
 }
 
 }  // namespace lssim

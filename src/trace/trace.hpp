@@ -5,13 +5,12 @@
 // it against many protocol/cache configurations quickly, and (c) debug
 // protocol behaviour on a fixed input. A TraceRecorder tees every access
 // a System executes into an in-memory trace (optionally saved to a
-// compact binary file); replay_trace() drives a fresh MemorySystem with
-// it, and trace/replay_compare.hpp builds the capture-once/replay-many
-// protocol-comparison engine on top. Replay is timing-faithful in
-// program order per processor but, by construction, cannot model timing
-// feedback (a stalled lock acquire still spins the recorded number of
-// times) — the classic trace-driven limitation the paper's
-// execution-driven setup avoids. Replay is therefore used for protocol
+// compact binary file), and trace/replay_compare.hpp replays it under
+// any number of protocol / directory configurations. Replay is
+// timing-faithful in program order per processor but, by construction,
+// cannot model timing feedback (a stalled lock acquire still spins the
+// recorded number of times) — the classic trace-driven limitation the
+// paper's execution-driven setup avoids. Replay is therefore used for protocol
 // sweeps, state exploration and regression tests, not for the headline
 // figures (see docs/PERFORMANCE.md "Capture once, replay many").
 #pragma once
@@ -21,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "core/protocol.hpp"
 #include "sim/types.hpp"
 #include "trace/config_hash.hpp"
 
@@ -99,20 +97,5 @@ class Trace {
   std::vector<TraceRecord> records_;
   TraceMeta meta_;
 };
-
-/// Statistics from replaying a trace.
-struct ReplayResult {
-  Cycles total_cycles = 0;       ///< Sum over processors of local time.
-  std::uint64_t accesses = 0;
-};
-
-/// Replays `trace` against a fresh MemorySystem built from `config`.
-/// Per-processor program order is preserved; accesses are interleaved by
-/// per-processor virtual time exactly like the live scheduler. Thin
-/// wrapper over ReplayCompareEngine (trace/replay_compare.hpp), kept for
-/// single-configuration replays; throws TraceConfigMismatch when the
-/// trace records a config hash incompatible with `config`.
-ReplayResult replay_trace(const Trace& trace, const MachineConfig& config,
-                          Stats& stats);
 
 }  // namespace lssim

@@ -5,7 +5,10 @@
 // data-value invariant compares every loaded value against one
 // organisation-independent sequentially-consistent reference memory,
 // trailing reads of every touched location prove the final memory
-// values are identical across organisations too.
+// values are identical across organisations too. Over whole live runs,
+// the three parameterisations of the bit-vector encoding that are exact
+// (full-map, coarse with one-node regions, sparse with room for every
+// block) must give the same RunResult.
 #include <string>
 #include <vector>
 
@@ -13,7 +16,12 @@
 
 #include "check/trace_runner.hpp"
 #include "core/protocol_registry.hpp"
+#include "machine/system.hpp"
 #include "sim/rng.hpp"
+#include "trace/replay_compare.hpp"
+#include "workloads/harness.hpp"
+#include "workloads/mp3d.hpp"
+#include "workloads/oltp.hpp"
 
 namespace lssim::check {
 namespace {
@@ -171,6 +179,66 @@ TEST(DirectoryEquivalence, FullMapRefusesMachinesPast64Nodes) {
   machine.directory_scheme = DirectoryKind::kFullMap;
   const std::string error = machine.validate();
   EXPECT_NE(error.find("full-map"), std::string::npos) << error;
+}
+
+// Full-map is the bit vector with one-node regions and no entry bound,
+// so coarse with --dir-region 1 and sparse with a bound above the run's
+// block footprint (auto regions are one node wide up to 64 nodes) must
+// reproduce a whole live run exactly: every RunResult field except the
+// organisation's own name.
+TEST(DirectoryEquivalence, ExactBitVectorOrganisationsAgreeOverWholeRuns) {
+  struct Workload {
+    const char* name;
+    MachineConfig (*machine)(ProtocolKind, int);
+    WorkloadBuilder build;
+  };
+  const Workload workloads[] = {
+      {"mp3d", &MachineConfig::scientific_default,
+       [](System& sys) {
+         build_mp3d(sys, Mp3dParams{.particles = 2000, .steps = 3});
+       }},
+      {"oltp", &MachineConfig::oltp_default,
+       [](System& sys) {
+         build_oltp(sys, OltpParams{.txns_per_proc = 100});
+       }},
+  };
+  for (const Workload& w : workloads) {
+    for (const int nodes : {4, 16}) {
+      for (const ProtocolKind kind : all_protocol_kinds()) {
+        const std::string label = std::string(w.name) + " " +
+                                  std::to_string(nodes) + " nodes " +
+                                  to_string(kind);
+        MachineConfig machine = w.machine(kind, nodes);
+        machine.directory_scheme = DirectoryKind::kFullMap;
+        std::size_t footprint = 0;
+        const RunResult full_map =
+            run_experiment(machine, w.build, 1, [&](System& sys) {
+              footprint = sys.memory().directory().size();
+            });
+        ASSERT_GT(footprint, 0u) << label;
+
+        MachineConfig coarse = machine;
+        coarse.directory_scheme = DirectoryKind::kCoarseVector;
+        coarse.directory_region = 1;
+        MachineConfig sparse = machine;
+        sparse.directory_scheme = DirectoryKind::kSparse;
+        sparse.directory_entries = static_cast<std::uint32_t>(footprint + 1);
+        for (const MachineConfig& other : {coarse, sparse}) {
+          ASSERT_EQ(other.validate(), "") << label;
+          RunResult result = run_experiment(other, w.build, 1);
+          EXPECT_EQ(result.directory, other.directory_scheme) << label;
+          EXPECT_EQ(result.dir_entry_evictions, 0u) << label;
+          result.directory = full_map.directory;
+          const std::vector<std::string> diffs =
+              compare_replay(full_map, result);
+          EXPECT_TRUE(diffs.empty())
+              << label << " under "
+              << kDirectoryNames.name(other.directory_scheme) << ": "
+              << diffs.front();
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

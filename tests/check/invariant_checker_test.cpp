@@ -57,7 +57,8 @@ TEST(InvariantChecker, DroppedSharerIsReported) {
   f.read(0, block);
   f.read(2, block);
   ASSERT_EQ(coherence_violations(f.ms()), kNoViolations);
-  f.ms().directory().entry(block).remove_sharer(2);
+  f.ms().directory_policy().remove_sharer(f.ms().directory().entry(block),
+                                          2);
   EXPECT_TRUE(reports_agreement(coherence_violations(f.ms()),
                                 "node 2 holds"));
 }

@@ -19,7 +19,7 @@ TEST_F(BaselineTest, ColdReadBecomesShared) {
   EXPECT_EQ(f_.state_of(1, a), CacheState::kShared);
   const DirEntry& e = f_.dir(a);
   EXPECT_EQ(e.state, DirState::kShared);
-  EXPECT_TRUE(e.is_sharer(1));
+  EXPECT_TRUE(f_.sharers(a).test(1));
   EXPECT_EQ(e.last_reader, 1);
   EXPECT_EQ(coherence_violations(f_.ms()), kNoViolations);
 }
@@ -29,8 +29,7 @@ TEST_F(BaselineTest, MultipleReadersShare) {
   (void)f_.read(0, a);
   (void)f_.read(1, a);
   (void)f_.read(2, a);
-  const DirEntry& e = f_.dir(a);
-  EXPECT_EQ(e.sharer_count(), 3);
+  EXPECT_EQ(f_.sharers(a).count(), 3);
   EXPECT_EQ(coherence_violations(f_.ms()), kNoViolations);
 }
 
@@ -76,7 +75,7 @@ TEST_F(BaselineTest, ReadOnDirtyDowngradesOwner) {
   EXPECT_EQ(f_.state_of(1, a), CacheState::kShared);
   const DirEntry& e = f_.dir(a);
   EXPECT_EQ(e.state, DirState::kShared);
-  EXPECT_EQ(e.sharer_count(), 2);
+  EXPECT_EQ(f_.sharers(a).count(), 2);
   EXPECT_EQ(coherence_violations(f_.ms()), kNoViolations);
 }
 
@@ -106,8 +105,8 @@ TEST_F(BaselineTest, EvictionOfSharedUpdatesDirectory) {
   const Addr a = f_.on_home(0);
   (void)f_.read(1, a);
   f_.force_eviction(1, a);
+  EXPECT_FALSE(f_.sharers(a).test(1));
   const DirEntry& e = f_.dir(a);
-  EXPECT_FALSE(e.is_sharer(1));
   EXPECT_EQ(e.state, DirState::kUncached);
   EXPECT_EQ(coherence_violations(f_.ms()), kNoViolations);
 }

@@ -1,6 +1,8 @@
-// DirectoryPolicy unit tests: the four organisations' sharer-word
-// encodings exercised directly on a DirEntry (no protocol engine), plus
-// the name-keyed registry the driver and manifests resolve through.
+// DirectoryPolicy unit tests: the two sharer-word encodings (bit vector
+// and limited pointers) exercised directly on a DirEntry (no protocol
+// engine) under the parameters of each of the four organisations, plus
+// make_directory_policy and the name table the driver and manifests
+// resolve through.
 // Protocol-visible behaviour of each organisation lives in
 // limited_directory_test.cpp / sparse_directory_test.cpp and the
 // cross-organization equivalence suite under tests/check/.
@@ -10,12 +12,6 @@
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include "core/directories/coarse_vector_directory.hpp"
-#include "core/directories/full_map_directory.hpp"
-#include "core/directories/limited_ptr_directory.hpp"
-#include "core/directories/sparse_directory.hpp"
-#include "core/directory_registry.hpp"
 
 namespace lssim {
 namespace {
@@ -29,7 +25,8 @@ std::vector<int> nodes_of(const SharerSet& set) {
 // --- Full-map: exact presence bitmap, believed == actual always. ---
 
 TEST(FullMapPolicy, BitmapIsExactAndNeverImprecise) {
-  FullMapDirectory policy;
+  BitVectorDirectory policy(/*region=*/1, /*num_nodes=*/64,
+                            /*max_entries=*/0);
   DirEntry e;
   policy.add_sharer(e, 0);
   policy.add_sharer(e, 5);
@@ -113,7 +110,8 @@ TEST(LimitedPtrPolicy, RemoveCompactsPointerSlots) {
 // --- Coarse bit-vector. ---
 
 TEST(CoarsePolicy, RegionOneDegeneratesToFullMap) {
-  CoarseVectorDirectory policy(/*region=*/1, /*num_nodes=*/64);
+  BitVectorDirectory policy(/*region=*/1, /*num_nodes=*/64,
+                            /*max_entries=*/0);
   DirEntry e;
   policy.add_sharer(e, 5);
   policy.add_sharer(e, 41);
@@ -124,7 +122,8 @@ TEST(CoarsePolicy, RegionOneDegeneratesToFullMap) {
 }
 
 TEST(CoarsePolicy, RegionBitsCoverWholeRegions) {
-  CoarseVectorDirectory policy(/*region=*/4, /*num_nodes=*/16);
+  BitVectorDirectory policy(/*region=*/4, /*num_nodes=*/16,
+                            /*max_entries=*/0);
   DirEntry e;
   policy.add_sharer(e, 6);  // Region 1 = nodes 4..7.
   EXPECT_TRUE(e.imprecise);
@@ -143,7 +142,8 @@ TEST(CoarsePolicy, RegionBitsCoverWholeRegions) {
 
 TEST(CoarsePolicy, AutoRegionCoversMachinesPast64Nodes) {
   // region == 0 -> ceil(num_nodes / 64): 128 nodes need 2-node regions.
-  CoarseVectorDirectory policy(/*region=*/0, /*num_nodes=*/128);
+  BitVectorDirectory policy(/*region=*/0, /*num_nodes=*/128,
+                            /*max_entries=*/0);
   DirEntry e;
   policy.add_sharer(e, 127);
   EXPECT_TRUE(e.imprecise);
@@ -151,38 +151,53 @@ TEST(CoarsePolicy, AutoRegionCoversMachinesPast64Nodes) {
             (std::vector<int>{126, 127}));
   // The believed set is clipped to the machine: the last region of a
   // 100-node machine with auto regions covers only existing nodes.
-  CoarseVectorDirectory clipped(/*region=*/0, /*num_nodes=*/100);
+  BitVectorDirectory clipped(/*region=*/0, /*num_nodes=*/100,
+                             /*max_entries=*/0);
   DirEntry f;
   clipped.add_sharer(f, 99);
   EXPECT_EQ(nodes_of(clipped.believed_sharers(f)),
             (std::vector<int>{98, 99}));
 }
 
-// --- Sparse directory: coarse encoding + bounded entry population. ---
+// --- Sparse directory: auto-region bit vector + bounded population. ---
 
 TEST(SparsePolicy, BoundsTheEntryPopulation) {
-  SparseDirectory policy(/*entries=*/256, /*num_nodes=*/64);
-  EXPECT_EQ(policy.kind(), DirectoryKind::kSparse);
+  MachineConfig config;
+  config.num_nodes = 64;
+  config.directory_scheme = DirectoryKind::kSparse;
+  config.directory_entries = 256;
+  const std::unique_ptr<DirectoryPolicy> sparse =
+      make_directory_policy(config);
+  const DirectoryPolicy& policy = *sparse;
   EXPECT_EQ(policy.max_entries(), 256u);
-  // Auto-sized default and inherited exact encoding at <= 64 nodes.
-  EXPECT_EQ(SparseDirectory(0, 64).max_entries(),
-            SparseDirectory::kDefaultEntries);
+  // Default bound and auto-sized exact encoding at <= 64 nodes.
+  config.directory_entries = 0;
+  EXPECT_EQ(make_directory_policy(config)->max_entries(),
+            BitVectorDirectory::kDefaultSparseEntries);
+  EXPECT_EQ(BitVectorDirectory::kDefaultSparseEntries, 1024u);
   DirEntry e;
   policy.add_sharer(e, 17);
   EXPECT_FALSE(e.imprecise) << "64-node sparse uses exact 1-node regions";
   EXPECT_EQ(nodes_of(policy.believed_sharers(e)), (std::vector<int>{17}));
 }
 
-// --- Registry. ---
+// --- Name table and factory. ---
 
 TEST(DirectoryRegistry, EveryKindIsRegisteredInOrder) {
-  const auto all = registered_directories();
-  ASSERT_EQ(all.size(), kDirectoryNames.rows.size());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    EXPECT_EQ(all[i].kind, kDirectoryNames.rows[i].kind);
-    EXPECT_NE(all[i].summary, nullptr);
-    EXPECT_NE(all[i].make, nullptr);
-    EXPECT_EQ(&directory_info(all[i].kind), &all[i]);
+  ASSERT_EQ(kDirectoryNames.rows.size(),
+            static_cast<std::size_t>(kNumDirectoryKinds));
+  for (std::size_t i = 0; i < kDirectoryNames.rows.size(); ++i) {
+    const DirectoryKind kind = kDirectoryNames.rows[i].kind;
+    EXPECT_EQ(static_cast<std::size_t>(kind), i);
+    MachineConfig config;
+    config.num_nodes = 8;
+    config.directory_scheme = kind;
+    const std::unique_ptr<DirectoryPolicy> policy =
+        make_directory_policy(config);
+    ASSERT_NE(policy, nullptr) << kDirectoryNames.name(kind);
+    // Only the sparse organisation bounds its population.
+    EXPECT_EQ(policy->max_entries() != 0, kind == DirectoryKind::kSparse)
+        << kDirectoryNames.name(kind);
   }
 }
 
@@ -228,7 +243,6 @@ TEST(DirectoryRegistry, FactoryHonoursMachineKnobs) {
   config.directory_pointers = 2;
   std::unique_ptr<DirectoryPolicy> policy = make_directory_policy(config);
   ASSERT_NE(policy, nullptr);
-  EXPECT_EQ(policy->kind(), DirectoryKind::kLimitedPtr);
   DirEntry e;
   policy->add_sharer(e, 0);
   policy->add_sharer(e, 1);
@@ -240,7 +254,23 @@ TEST(DirectoryRegistry, FactoryHonoursMachineKnobs) {
   config.directory_entries = 32;
   EXPECT_EQ(make_directory_policy(config)->max_entries(), 32u);
   config.directory_scheme = DirectoryKind::kFullMap;
-  EXPECT_EQ(make_directory_policy(config)->kind(), DirectoryKind::kFullMap);
+  policy = make_directory_policy(config);
+  DirEntry full;
+  policy->add_sharer(full, 0);
+  policy->add_sharer(full, 1);
+  policy->add_sharer(full, 2);
+  EXPECT_FALSE(full.imprecise) << "full-map is exact";
+  EXPECT_EQ(full.sharers, 0x7u) << "bit n = node n";
+  EXPECT_EQ(policy->max_entries(), 0u);
+
+  config.directory_scheme = DirectoryKind::kCoarseVector;
+  config.directory_region = 2;
+  policy = make_directory_policy(config);
+  DirEntry coarse;
+  policy->add_sharer(coarse, 5);
+  EXPECT_EQ(nodes_of(policy->believed_sharers(coarse)),
+            (std::vector<int>{4, 5}))
+      << "--dir-region sets the region width";
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/directory_policy.hpp"
+
 namespace lssim {
 namespace {
 
@@ -13,7 +15,7 @@ TEST(Directory, EntriesStartUncachedUntagged) {
   EXPECT_EQ(e.owner, kInvalidNode);
   EXPECT_EQ(e.last_reader, kInvalidNode);
   EXPECT_EQ(e.last_writer, kInvalidNode);
-  EXPECT_EQ(e.sharer_count(), 0);
+  EXPECT_EQ(e.sharers, 0u);
 }
 
 TEST(Directory, DefaultTaggedVariation) {
@@ -37,20 +39,25 @@ TEST(Directory, FindDoesNotCreate) {
 }
 
 TEST(DirEntry, SharerBitmapOperations) {
+  // Under the paper's full-map organisation the sharer word is a
+  // presence bitmap: bit n = node n.
+  MachineConfig config;
+  config.num_nodes = 64;
+  const auto full_map = make_directory_policy(config);
   DirEntry e;
-  e.add_sharer(0);
-  e.add_sharer(5);
-  e.add_sharer(63);
-  EXPECT_EQ(e.sharer_count(), 3);
-  EXPECT_TRUE(e.is_sharer(0));
-  EXPECT_TRUE(e.is_sharer(5));
-  EXPECT_TRUE(e.is_sharer(63));
-  EXPECT_FALSE(e.is_sharer(1));
-  e.remove_sharer(5);
-  EXPECT_EQ(e.sharer_count(), 2);
-  EXPECT_FALSE(e.is_sharer(5));
-  e.add_sharer(0);  // Idempotent.
-  EXPECT_EQ(e.sharer_count(), 2);
+  full_map->add_sharer(e, 0);
+  full_map->add_sharer(e, 5);
+  full_map->add_sharer(e, 63);
+  EXPECT_EQ(e.sharers, (1ull << 0) | (1ull << 5) | (1ull << 63));
+  EXPECT_TRUE(full_map->may_be_sharer(e, 0));
+  EXPECT_TRUE(full_map->may_be_sharer(e, 5));
+  EXPECT_TRUE(full_map->may_be_sharer(e, 63));
+  EXPECT_FALSE(full_map->may_be_sharer(e, 1));
+  full_map->remove_sharer(e, 5);
+  EXPECT_EQ(full_map->believed_sharers(e).count(), 2);
+  EXPECT_FALSE(full_map->may_be_sharer(e, 5));
+  full_map->add_sharer(e, 0);  // Idempotent.
+  EXPECT_EQ(e.sharers, (1ull << 0) | (1ull << 63));
 }
 
 TEST(Directory, ForEachVisitsAllEntries) {

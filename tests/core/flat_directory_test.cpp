@@ -15,11 +15,11 @@ TEST(FlatDirectory, RepeatedAccessReturnsSameEntry) {
   // The one-entry MRU cache must hand back the identical slot, and a
   // re-access after touching another block (MRU miss) must still find it.
   Directory dir;
-  dir.entry(0x1000).add_sharer(3);
+  dir.entry(0x1000).sharers = 0x8;
   DirEntry& again = dir.entry(0x1000);
-  EXPECT_TRUE(again.is_sharer(3));
+  EXPECT_EQ(again.sharers, 0x8u);
   (void)dir.entry(0x2000);
-  EXPECT_TRUE(dir.entry(0x1000).is_sharer(3));
+  EXPECT_EQ(dir.entry(0x1000).sharers, 0x8u);
   EXPECT_EQ(dir.size(), 2u);
 }
 
@@ -33,7 +33,7 @@ TEST(FlatDirectory, GrowthInvalidatesMruCache) {
   Directory dir;
   const Addr kHot = 0x40;
   dir.entry(kHot).owner = 7;
-  dir.entry(kHot).add_sharer(5);  // Re-access: kHot is now the MRU block.
+  dir.entry(kHot).sharers = 0x20;  // Re-access: kHot is now the MRU block.
   std::size_t filled = 1;
   while (dir.capacity() == 0 || dir.size() < dir.capacity() - dir.capacity() / 4) {
     // Park the MRU on kHot before every insert so whichever insert
@@ -51,7 +51,7 @@ TEST(FlatDirectory, GrowthInvalidatesMruCache) {
   const DirEntry* hot = dir.find(kHot);
   ASSERT_NE(hot, nullptr);
   EXPECT_EQ(hot->owner, 7);
-  EXPECT_TRUE(hot->is_sharer(5));
+  EXPECT_EQ(hot->sharers, 0x20u);
   // And the MRU fast path (entry after find) must agree with the probe.
   EXPECT_EQ(&dir.entry(kHot), hot);
   for (std::size_t i = 1; i < filled; ++i) {

@@ -152,8 +152,7 @@ DirEntry entry_at(const Point& p) {
   e.last_writer = kOther;
   e.last_reader = p.writer_read_last ? kWriter : kThird;
   if (e.state == DirState::kShared) {
-    e.add_sharer(kWriter);
-    e.add_sharer(kOther);
+    e.sharers = (std::uint64_t{1} << kWriter) | (std::uint64_t{1} << kOther);
   } else if (e.state == DirState::kDirty) {
     e.owner = kOther;
   }

@@ -141,7 +141,7 @@ TEST(ProtocolEdge, SixtyFourNodeMachine) {
   for (NodeId n = 0; n < 64; ++n) {
     (void)f.read(n, a);
   }
-  EXPECT_EQ(f.dir(a).sharer_count(), 64);
+  EXPECT_EQ(f.sharers(a).count(), 64);
   (void)f.write(63, a, 1);
   EXPECT_EQ(f.stats().invalidations_sent, 63u);
   EXPECT_EQ(coherence_violations(f.ms()), kNoViolations);

@@ -114,6 +114,11 @@ class ProtocolFixture {
   [[nodiscard]] const DirEntry& dir(Addr a) {
     return ms_.directory().entry(block_of(a));
   }
+  /// The home's believed sharers of `a`, decoded by the machine's
+  /// directory organisation.
+  [[nodiscard]] SharerSet sharers(Addr a) {
+    return ms_.directory_policy().believed_sharers(dir(a));
+  }
 
   [[nodiscard]] MemorySystem& ms() noexcept { return ms_; }
   [[nodiscard]] Stats& stats() noexcept { return stats_; }

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -143,6 +144,35 @@ TEST(ResultsStore, LoadSkipsPartialTrailingLine) {
   ASSERT_TRUE(ResultsStore::load(path, &records, &error)) << error;
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].config_hash, 0x11u);
+}
+
+TEST(ResultsStore, LineWithoutItsNewlineIsPartialEvenWhenWellFormed) {
+  // An append interrupted between the record and its newline leaves a
+  // parseable last line. open() truncates it, so it must not count as
+  // completed either; load() ignores it the same way.
+  const std::string path = temp_store("store_no_newline.jsonl");
+  std::string error;
+  {
+    ResultsStore store;
+    ASSERT_TRUE(store.open(path, sample_provenance(), &error)) << error;
+    ASSERT_TRUE(store.append(sample_record(0x11), &error)) << error;
+    ASSERT_TRUE(store.append(sample_record(0x22), &error)) << error;
+  }
+  const std::string full = read_all(path);
+  fs::resize_file(path, full.size() - 1);  // Drop the final '\n'.
+
+  std::vector<SweepRecord> records;
+  ASSERT_TRUE(ResultsStore::load(path, &records, &error)) << error;
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].config_hash, 0x11u);
+
+  ResultsStore store;
+  ASSERT_TRUE(store.open(path, sample_provenance(), &error)) << error;
+  EXPECT_TRUE(store.contains(0x11));
+  EXPECT_FALSE(store.contains(0x22));
+  EXPECT_EQ(store.records().size(), 1u);
+  ASSERT_TRUE(store.append(sample_record(0x22), &error)) << error;
+  EXPECT_EQ(read_all(path), full);
 }
 
 TEST(ResultsStore, RefusesCompleteMalformedMidStoreLine) {

@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/directory_registry.hpp"
 #include "core/protocol_registry.hpp"
 #include "workloads/harness.hpp"
 #include "workloads/micro.hpp"

@@ -30,6 +30,11 @@ MachineConfig tiny_cfg(ProtocolKind kind = ProtocolKind::kBaseline) {
   return cfg;
 }
 
+/// Replays `trace` on a fresh machine built from `config`.
+RunResult replay(const Trace& trace, const MachineConfig& config) {
+  return ReplayCompareEngine(trace, config).replay_config(config);
+}
+
 Trace record_pingpong(ProtocolKind kind = ProtocolKind::kBaseline) {
   System sys(tiny_cfg(kind));
   Trace trace;
@@ -163,11 +168,9 @@ TEST(Trace, LoadRejectsMisalignedRecordNamingIt) {
 
 TEST(Trace, ReplayExecutesAllAccesses) {
   const Trace trace = record_pingpong();
-  Stats stats(4);
-  const ReplayResult result = replay_trace(trace, tiny_cfg(), stats);
+  const RunResult result = replay(trace, tiny_cfg());
   EXPECT_EQ(result.accesses, trace.size());
-  EXPECT_EQ(stats.accesses, trace.size());
-  EXPECT_GT(result.total_cycles, 0u);
+  EXPECT_GT(result.exec_time, 0u);
 }
 
 TEST(Trace, ReplayUnderLsEliminatesOwnership) {
@@ -175,13 +178,11 @@ TEST(Trace, ReplayUnderLsEliminatesOwnership) {
   // technique's effect — the cheap way to sweep protocols over one
   // workload recording.
   const Trace trace = record_pingpong();
-  Stats base_stats(4);
-  (void)replay_trace(trace, tiny_cfg(ProtocolKind::kBaseline), base_stats);
-  Stats ls_stats(4);
-  (void)replay_trace(trace, tiny_cfg(ProtocolKind::kLs), ls_stats);
-  EXPECT_EQ(base_stats.eliminated_acquisitions, 0u);
-  EXPECT_GT(ls_stats.eliminated_acquisitions, 50u);
-  EXPECT_LT(ls_stats.messages_total(), base_stats.messages_total());
+  const RunResult base = replay(trace, tiny_cfg(ProtocolKind::kBaseline));
+  const RunResult ls = replay(trace, tiny_cfg(ProtocolKind::kLs));
+  EXPECT_EQ(base.eliminated_acquisitions, 0u);
+  EXPECT_GT(ls.eliminated_acquisitions, 50u);
+  EXPECT_LT(ls.traffic_total, base.traffic_total);
 }
 
 TEST(Trace, ReplayRejectsOutOfRangeNode) {
@@ -190,9 +191,8 @@ TEST(Trace, ReplayRejectsOutOfRangeNode) {
   trace.append(r);
   r.node = 9;  // Machine below has 4 nodes.
   trace.append(r);
-  Stats stats(4);
   try {
-    (void)replay_trace(trace, tiny_cfg(), stats);
+    (void)replay(trace, tiny_cfg());
     FAIL() << "node 9 accepted on a 4-node machine";
   } catch (const std::out_of_range& ex) {
     // The message names the record and the node.
@@ -203,20 +203,14 @@ TEST(Trace, ReplayRejectsOutOfRangeNode) {
 
 TEST(Trace, ReplayIsDeterministic) {
   const Trace trace = record_pingpong();
-  Stats a(4);
-  Stats b(4);
-  const ReplayResult ra = replay_trace(trace, tiny_cfg(), a);
-  const ReplayResult rb = replay_trace(trace, tiny_cfg(), b);
-  EXPECT_EQ(ra.total_cycles, rb.total_cycles);
-  EXPECT_EQ(a.messages_total(), b.messages_total());
+  EXPECT_EQ(replay(trace, tiny_cfg()), replay(trace, tiny_cfg()));
 }
 
 TEST(Trace, EmptyTraceReplaysToNothing) {
   Trace trace;
-  Stats stats(4);
-  const ReplayResult result = replay_trace(trace, tiny_cfg(), stats);
+  const RunResult result = replay(trace, tiny_cfg());
   EXPECT_EQ(result.accesses, 0u);
-  EXPECT_EQ(result.total_cycles, 0u);
+  EXPECT_EQ(result.exec_time, 0u);
 }
 
 TEST(Trace, MetaRoundTrips) {
@@ -283,9 +277,7 @@ TEST(Trace, LoadsLegacyVersion1Files) {
   EXPECT_EQ(loaded.records()[1].node, 2);
 
   // A hash-less trace replays against any machine without a config check.
-  Stats stats(4);
-  const ReplayResult result = replay_trace(loaded, tiny_cfg(), stats);
-  EXPECT_EQ(result.accesses, 2u);
+  EXPECT_EQ(replay(loaded, tiny_cfg()).accesses, 2u);
 }
 
 // ---- Multi-block files ----------------------------------------------
@@ -576,12 +568,10 @@ TEST(Trace, PreSeamCapturesOnlyReplayOnTheDirectoryNetwork) {
   Trace trace = record_pingpong();
   trace.meta().hash_version = 0;
   trace.meta().config_hash = trace_config_hash(tiny_cfg(), 0);
-  Stats stats(4);
-  EXPECT_GT(replay_trace(trace, tiny_cfg(), stats).accesses, 0u);
+  EXPECT_GT(replay(trace, tiny_cfg()).accesses, 0u);
   MachineConfig bus = tiny_cfg();
   bus.interconnect = InterconnectKind::kBus;
-  Stats bus_stats(4);
-  EXPECT_THROW(replay_trace(trace, bus, bus_stats), TraceConfigMismatch);
+  EXPECT_THROW((void)replay(trace, bus), TraceConfigMismatch);
 }
 
 TEST(Trace, MismatchListsBothHashes) {
@@ -589,9 +579,8 @@ TEST(Trace, MismatchListsBothHashes) {
   trace.meta().config_hash = trace_config_hash(tiny_cfg());
   MachineConfig other = tiny_cfg();
   other.latency.hop += 1;
-  Stats stats(4);
   try {
-    (void)replay_trace(trace, other, stats);
+    (void)replay(trace, other);
     FAIL() << "expected TraceConfigMismatch";
   } catch (const TraceConfigMismatch& ex) {
     const std::string what = ex.what();
